@@ -229,6 +229,113 @@ mod tests {
         assert_eq!(errors[0].span.len(), '☃'.len_utf8());
     }
 
+    /// Tokens paired with the source text each span covers.
+    fn spanned(src: &str) -> Vec<(Tok, &str)> {
+        let (toks, errors) = lex(src);
+        assert!(errors.is_empty(), "unexpected lex errors: {errors:?}");
+        toks.into_iter()
+            .map(|l| (l.tok, &src[l.span.start..l.span.end]))
+            .collect()
+    }
+
+    #[test]
+    fn non_ascii_identifiers_are_words() {
+        assert_eq!(
+            spanned("goal é α_1 x_é2"),
+            vec![
+                (Tok::Word("goal".into()), "goal"),
+                (Tok::Word("é".into()), "é"),
+                (Tok::Word("α_1".into()), "α_1"),
+                (Tok::Word("x_é2".into()), "x_é2"),
+            ]
+        );
+        let (toks, _) = lex("é α_1");
+        assert_eq!(toks[0].span, Span::new(0, 2));
+        assert_eq!(toks[1].span, Span::new(3, 7));
+    }
+
+    #[test]
+    fn non_ascii_whitespace_separates_tokens() {
+        // U+00A0 (2 bytes) and U+2028 (3 bytes) are whitespace.
+        let src = "a\u{A0}b\u{2028}c\u{A0}{\u{2028}}";
+        let (toks, errors) = lex(src);
+        assert!(errors.is_empty(), "unexpected lex errors: {errors:?}");
+        let got: Vec<(Tok, Span)> = toks.into_iter().map(|l| (l.tok, l.span)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (Tok::Word("a".into()), Span::new(0, 1)),
+                (Tok::Word("b".into()), Span::new(3, 4)),
+                (Tok::Word("c".into()), Span::new(7, 8)),
+                (Tok::LBrace, Span::new(10, 11)),
+                (Tok::RBrace, Span::new(14, 15)),
+            ]
+        );
+    }
+
+    #[test]
+    fn escape_spans_cover_the_raw_literal() {
+        let src = r#"x "a\"b\\c" y"#;
+        assert_eq!(
+            spanned(src),
+            vec![
+                (Tok::Word("x".into()), "x"),
+                (Tok::Str(r#"a"b\c"#.into()), r#""a\"b\\c""#),
+                (Tok::Word("y".into()), "y"),
+            ]
+        );
+        // An escaped backslash before the closing quote still closes it.
+        assert_eq!(
+            spanned(r#""\\" z"#),
+            vec![
+                (Tok::Str(r"\".into()), r#""\\""#),
+                (Tok::Word("z".into()), "z"),
+            ]
+        );
+    }
+
+    #[test]
+    fn non_ascii_inside_strings_is_kept_verbatim() {
+        let src = "goal \"ü ☃ 日本 🚀\" x";
+        assert_eq!(
+            spanned(src),
+            vec![
+                (Tok::Word("goal".into()), "goal"),
+                (Tok::Str("ü ☃ 日本 🚀".into()), "\"ü ☃ 日本 🚀\""),
+                (Tok::Word("x".into()), "x"),
+            ]
+        );
+    }
+
+    #[test]
+    fn unterminated_string_at_eof_keeps_escapes_and_non_ascii() {
+        let src = "a \"b\\\"é";
+        let (toks, errors) = lex(src);
+        assert_eq!(errors.len(), 1);
+        assert_eq!(errors[0].kind, SyntaxErrorKind::UnterminatedString);
+        assert_eq!(errors[0].span, Span::new(2, src.len()));
+        assert_eq!(toks.len(), 2);
+        assert_eq!(toks[1].tok, Tok::Str("b\"é".into()));
+        assert_eq!(toks[1].span, Span::new(2, src.len()));
+        // A lone trailing backslash stays literal.
+        let (toks, errors) = lex("\"x\\");
+        assert_eq!(errors.len(), 1);
+        assert_eq!(toks[0].tok, Tok::Str("x\\".into()));
+    }
+
+    #[test]
+    fn stray_multibyte_char_errors_on_its_char_boundary() {
+        for (src, stray) in [("a ☃ b", "☃"), ("a🚀b", "🚀"), ("x → y", "→")] {
+            let (toks, errors) = lex(src);
+            assert_eq!(toks.len(), 2, "{src}");
+            assert_eq!(errors.len(), 1, "{src}");
+            let e = &errors[0];
+            assert_eq!(e.kind, SyntaxErrorKind::UnexpectedChar);
+            assert_eq!(&src[e.span.start..e.span.end], stray);
+            assert_eq!(e.message, format!("unexpected character `{stray}`"));
+        }
+    }
+
     #[test]
     fn empty_and_comment_only_inputs() {
         assert!(words("").is_empty());

@@ -5,7 +5,9 @@
 //! retained seed parser: node-for-node equal output on valid files, and
 //! the seed's single abort-error always present in the recovered stream
 //! on invalid ones. Inputs are valid generated corpora plus truncations,
-//! point mutations, and keyword-soup concatenations of them.
+//! ASCII and Unicode point mutations, keyword-soup concatenations of
+//! them, and arbitrary strings on their own or spliced into a valid
+//! file, so non-ASCII text reaches every branch of the lexer.
 
 use casekit::core::dsl::{parse_argument_recovering, parse_argument_seed, ParseOutcome};
 use proptest::prelude::*;
@@ -208,4 +210,58 @@ proptest! {
         let src = frags.join(" ");
         check_invariants(&src);
     }
+
+    #[test]
+    fn arbitrary_strings_recover(src in any::<String>()) {
+        check_invariants(&src);
+    }
+
+    #[test]
+    fn arbitrary_strings_inside_a_valid_file_recover(
+        specs in corpus(),
+        pos in 0..10_000usize,
+        junk in any::<String>(),
+    ) {
+        let src = render(&specs);
+        let at = floor_boundary(&src, pos % (src.len() + 1));
+        check_invariants(&format!("{}{junk}{}", &src[..at], &src[at..]));
+    }
+
+    #[test]
+    fn unicode_point_mutations_recover(
+        specs in corpus(),
+        pos in 0..10_000usize,
+        replace in any::<bool>(),
+        ch in unicode_char(),
+    ) {
+        let src = render(&specs);
+        let at = floor_boundary(&src, pos % (src.len() + 1));
+        let rest = if replace && at < src.len() {
+            floor_boundary(&src, at + 1).max(at + 1)
+        } else {
+            at
+        };
+        check_invariants(&format!("{}{ch}{}", &src[..at], &src[rest.min(src.len())..]));
+    }
+}
+
+/// Non-ASCII characters from every class the lexer distinguishes:
+/// letters (word characters), Unicode whitespace, symbols no token
+/// starts with, and the prop parser's operator aliases — plus any
+/// scalar value at all.
+fn unicode_char() -> impl Strategy<Value = char> {
+    prop_oneof![
+        Just('é'),
+        Just('α'),
+        Just('日'),
+        Just('\u{A0}'),
+        Just('\u{2028}'),
+        Just('\u{85}'),
+        Just('☃'),
+        Just('🚀'),
+        Just('¬'),
+        Just('∧'),
+        Just('→'),
+        any::<char>(),
+    ]
 }
