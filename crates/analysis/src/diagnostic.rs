@@ -200,6 +200,8 @@ lint_codes! {
         "a `formal` or `temporal` payload is not a well-formed formula"),
     InvalidStructure = ("CK205", 205, "invalid-structure", Level::Deny, PassKind::Syntax,
         "a declaration is syntactically fine but structurally ill-formed (duplicate id, bad `ref`, …)"),
+    NestingTooDeep = ("CK206", 206, "nesting-too-deep", Level::Deny, PassKind::Syntax,
+        "blocks, or a payload's parentheses and prefix operators, nest deeper than the parsers' limit"),
 }
 
 impl fmt::Display for LintCode {
@@ -454,6 +456,7 @@ mod tests {
         assert_eq!(LintCode::QuantifierMismatch.as_str(), "CK120");
         assert_eq!(LintCode::SyntaxGeneral.as_str(), "CK201");
         assert_eq!(LintCode::InvalidStructure.as_str(), "CK205");
+        assert_eq!(LintCode::NestingTooDeep.as_str(), "CK206");
         let numbers: Vec<u16> = LintCode::ALL.iter().map(|c| c.number()).collect();
         let mut sorted = numbers.clone();
         sorted.sort_unstable();

@@ -48,6 +48,7 @@ fn code_for(kind: SyntaxErrorKind) -> LintCode {
         SyntaxErrorKind::UnknownKeyword => LintCode::UnknownKeyword,
         SyntaxErrorKind::BadPayload => LintCode::MalformedPayload,
         SyntaxErrorKind::Structure => LintCode::InvalidStructure,
+        SyntaxErrorKind::NestingTooDeep => LintCode::NestingTooDeep,
         _ => LintCode::SyntaxGeneral,
     }
 }

@@ -119,6 +119,24 @@ fn invalid_structure_fixture() {
 }
 
 #[test]
+fn deep_nesting_fixture() {
+    let (src, diagnostics) = analyze("deep_nesting.case");
+    assert_eq!(diagnostics.len(), 1, "got: {diagnostics:?}");
+    let d = &diagnostics[0];
+    assert_eq!(d.code, LintCode::NestingTooDeep);
+    assert_eq!(
+        d.message,
+        "in formal payload of `g1`: nesting deeper than 128 levels"
+    );
+    assert_eq!(d.primary.as_ref().unwrap().as_str(), "g1");
+    // The payload's 129th `(`, on line 6.
+    let payload = src.find("formal \"").unwrap() + "formal \"".len();
+    assert_eq!(d.span.unwrap().start, payload + 128);
+    assert_eq!(line_col(&src, d), (6, 141));
+    assert_eq!(covered(&src, d), "(");
+}
+
+#[test]
 fn every_fixture_recovers_and_renders_an_excerpt() {
     for name in [
         "bad_keyword.case",
@@ -127,6 +145,7 @@ fn every_fixture_recovers_and_renders_an_excerpt() {
         "unterminated_string.case",
         "stray_character.case",
         "invalid_structure.case",
+        "deep_nesting.case",
     ] {
         let src = fixture(name);
         let analysis = check_source(&src, &LintConfig::new());

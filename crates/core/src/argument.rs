@@ -87,7 +87,7 @@ pub struct NodeIdx(u32);
 
 impl NodeIdx {
     #[inline]
-    fn new(index: usize) -> Self {
+    pub(crate) fn new(index: usize) -> Self {
         NodeIdx(index as u32)
     }
 
@@ -261,6 +261,46 @@ impl Argument {
             edges,
             endpoints,
         ))
+    }
+
+    /// Assembles an argument from parts the caller has already put
+    /// through exactly the checks [`ArgumentBuilder`] applies: every id
+    /// non-empty, unique and indexed at its arena position; every edge's
+    /// endpoints resolved, distinct, and not repeating an earlier
+    /// `(from, to, kind)`. Only the `u32` index space is checked here;
+    /// debug builds re-check the rest.
+    ///
+    /// This is the DSL parser's hand-off: it validates each node and
+    /// edge once, as it reads them, and passes its id index on instead
+    /// of having the builder hash every id a second time.
+    pub(crate) fn from_validated(
+        name: String,
+        nodes: Vec<Node>,
+        index: HashMap<NodeId, NodeIdx>,
+        edges: Vec<Edge>,
+        endpoints: Vec<(NodeIdx, NodeIdx)>,
+    ) -> Result<Argument, ArgumentError> {
+        if nodes.len() > u32::MAX as usize || edges.len() > u32::MAX as usize {
+            return Err(ArgumentError::TooLarge);
+        }
+        debug_assert_eq!(index.len(), nodes.len());
+        debug_assert!(nodes.iter().enumerate().all(|(i, node)| {
+            !node.id.as_str().is_empty() && index.get(&node.id) == Some(&NodeIdx::new(i))
+        }));
+        debug_assert_eq!(edges.len(), endpoints.len());
+        debug_assert!(edges.iter().zip(&endpoints).all(|(edge, &(from, to))| {
+            from != to && nodes[from.index()].id == edge.from && nodes[to.index()].id == edge.to
+        }));
+        debug_assert_eq!(
+            endpoints
+                .iter()
+                .zip(&edges)
+                .map(|(&(from, to), edge)| (from, to, edge.kind))
+                .collect::<HashSet<_>>()
+                .len(),
+            edges.len()
+        );
+        Ok(Argument::assemble(name, nodes, index, edges, endpoints))
     }
 
     /// Infallible final assembly once ids and endpoints are validated.

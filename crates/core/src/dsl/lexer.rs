@@ -4,27 +4,40 @@
 //! aborts: characters no token can start with and unterminated string
 //! literals are reported as [`ParseError`]s and skipped (an unterminated
 //! string still yields its partial content as a token), so the parser
-//! always receives the full token stream. It also iterates
-//! [`str::char_indices`] directly instead of materializing a `Vec<char>`
-//! plus a parallel byte-offset table — corpus ingestion lexes each file
-//! with no per-file scratch allocations beyond the token vector itself.
+//! always receives the full token stream.
+//!
+//! It scans bytes, with a fast path for ASCII and a `char` fallback for
+//! the non-ASCII whitespace, letters and stray symbols a byte cannot
+//! classify. Tokens borrow their text from the source (see [`Tok`]), so
+//! corpus ingestion lexes each file with no per-file scratch allocations
+//! beyond the token vector itself; only a string literal with escapes
+//! owns its unescaped content.
+
+use std::borrow::Cow;
 
 use casekit_logic::{ParseError, Span, SyntaxError, SyntaxErrorKind};
 
-/// A DSL token.
+/// A DSL token, borrowing its text from the lexed source.
+///
+/// `Word` is always a slice of the source. `Str` holds the literal's
+/// content without its quotes: [`Cow::Borrowed`] (a slice of the source
+/// between the quotes) unless the literal contains a `\"` or `\\`
+/// escape, in which case it is [`Cow::Owned`] and unescaped. A borrowed
+/// `Str` therefore maps byte-for-byte onto the source after its opening
+/// quote.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Tok {
+pub(crate) enum Tok<'a> {
     /// A bare word: a kind keyword, modifier, `ref`, or identifier.
-    Word(String),
+    Word(&'a str),
     /// A quoted string literal (content, unescaped).
-    Str(String),
+    Str(Cow<'a, str>),
     /// `{`
     LBrace,
     /// `}`
     RBrace,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// How the token reads in an "expected X, found Y" message.
     pub(crate) fn describe(&self) -> String {
         match self {
@@ -38,9 +51,15 @@ impl Tok {
 
 /// A token plus the byte range of source text it came from.
 #[derive(Debug, Clone)]
-pub(crate) struct Lexed {
-    pub(crate) tok: Tok,
+pub(crate) struct Lexed<'a> {
+    pub(crate) tok: Tok<'a>,
     pub(crate) span: Span,
+}
+
+/// Whether `b` can continue (or start) a word. Non-ASCII bytes defer to
+/// [`char::is_alphanumeric`] on the decoded char.
+fn is_word_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// Lexes `input` to the end, collecting errors instead of stopping.
@@ -48,98 +67,151 @@ pub(crate) struct Lexed {
 /// Every byte is either consumed by a token, skipped as
 /// whitespace/comment, or skipped with an error — so the parser behind
 /// this lexer sees everything the author wrote.
-pub(crate) fn lex(input: &str) -> (Vec<Lexed>, Vec<ParseError>) {
-    let mut toks = Vec::new();
+pub(crate) fn lex(input: &str) -> (Vec<Lexed<'_>>, Vec<ParseError>) {
+    let bytes = input.as_bytes();
+    // `.case` text runs about 10–20 bytes per token: reserve one slot
+    // per 16 bytes, so most files lex without regrowing the vector.
+    let mut toks = Vec::with_capacity(input.len() / 16);
     let mut errors = Vec::new();
-    let mut chars = input.char_indices().peekable();
-    while let Some(&(i, c)) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
-        } else if c == '#' || (c == '/' && input[i + 1..].starts_with('/')) {
-            // Comment to end of line.
-            for (_, d) in chars.by_ref() {
-                if d == '\n' {
-                    break;
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        match b {
+            b' ' | b'\t'..=b'\r' => i += 1,
+            b'#' => i = line_end(bytes, i),
+            b'/' if bytes.get(i + 1) == Some(&b'/') => i = line_end(bytes, i),
+            b'{' | b'}' => {
+                let tok = if b == b'{' { Tok::LBrace } else { Tok::RBrace };
+                toks.push(Lexed {
+                    tok,
+                    span: Span::new(i, i + 1),
+                });
+                i += 1;
+            }
+            b'"' => {
+                let (lexed, closed) = string(input, i);
+                if !closed {
+                    errors.push(
+                        SyntaxError::with_kind(
+                            SyntaxErrorKind::UnterminatedString,
+                            "unterminated string literal",
+                            Span::new(i, input.len()),
+                        )
+                        .with_hint("add a closing `\"`"),
+                    );
                 }
+                i = lexed.span.end;
+                toks.push(lexed);
             }
-        } else if c == '{' {
-            chars.next();
-            toks.push(Lexed {
-                tok: Tok::LBrace,
-                span: Span::new(i, i + 1),
-            });
-        } else if c == '}' {
-            chars.next();
-            toks.push(Lexed {
-                tok: Tok::RBrace,
-                span: Span::new(i, i + 1),
-            });
-        } else if c == '"' {
-            chars.next();
-            let mut content = String::new();
-            let mut closed = false;
-            let mut end = input.len();
-            while let Some((j, d)) = chars.next() {
-                match d {
-                    '"' => {
-                        closed = true;
-                        end = j + 1;
-                        break;
-                    }
-                    '\\' if matches!(chars.peek(), Some(&(_, '"')) | Some(&(_, '\\'))) => {
-                        let (_, escaped) = chars.next().expect("peeked");
-                        content.push(escaped);
-                    }
-                    other => content.push(other),
-                }
+            _ if is_word_byte(b) => i = word(input, i, &mut toks),
+            _ if b.is_ascii() => {
+                errors.push(unexpected(char::from(b), i));
+                i += 1;
             }
-            if !closed {
-                errors.push(
-                    SyntaxError::with_kind(
-                        SyntaxErrorKind::UnterminatedString,
-                        "unterminated string literal",
-                        Span::new(i, input.len()),
-                    )
-                    .with_hint("add a closing `\"`"),
-                );
-            }
-            toks.push(Lexed {
-                tok: Tok::Str(content),
-                span: Span::new(i, end),
-            });
-        } else if c.is_alphanumeric() || c == '_' {
-            let start = i;
-            let mut end = i + c.len_utf8();
-            chars.next();
-            while let Some(&(j, d)) = chars.peek() {
-                if d.is_alphanumeric() || d == '_' {
-                    end = j + d.len_utf8();
-                    chars.next();
+            _ => {
+                let c = input[i..].chars().next().expect("i is a char boundary");
+                if c.is_whitespace() {
+                    i += c.len_utf8();
+                } else if c.is_alphanumeric() {
+                    i = word(input, i, &mut toks);
                 } else {
-                    break;
+                    errors.push(unexpected(c, i));
+                    i += c.len_utf8();
                 }
             }
-            toks.push(Lexed {
-                tok: Tok::Word(input[start..end].to_string()),
-                span: Span::new(start, end),
-            });
-        } else {
-            chars.next();
-            errors.push(SyntaxError::with_kind(
-                SyntaxErrorKind::UnexpectedChar,
-                format!("unexpected character `{c}`"),
-                Span::new(i, i + c.len_utf8()),
-            ));
         }
     }
     (toks, errors)
+}
+
+/// The offset of the `\n` ending the comment at `start` (or end of input).
+fn line_end(bytes: &[u8], start: usize) -> usize {
+    bytes[start..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(bytes.len(), |n| start + n)
+}
+
+/// The error for a character `c` at byte `at` that no token starts with.
+fn unexpected(c: char, at: usize) -> ParseError {
+    SyntaxError::with_kind(
+        SyntaxErrorKind::UnexpectedChar,
+        format!("unexpected character `{c}`"),
+        Span::new(at, at + c.len_utf8()),
+    )
+}
+
+/// Lexes the word starting at `start`, returning the offset after it.
+fn word<'a>(input: &'a str, start: usize, toks: &mut Vec<Lexed<'a>>) -> usize {
+    let bytes = input.as_bytes();
+    let mut end = start;
+    while end < bytes.len() {
+        if is_word_byte(bytes[end]) {
+            end += 1;
+        } else if bytes[end].is_ascii() {
+            break;
+        } else {
+            match input[end..].chars().next() {
+                Some(c) if c.is_alphanumeric() => end += c.len_utf8(),
+                _ => break,
+            }
+        }
+    }
+    toks.push(Lexed {
+        tok: Tok::Word(&input[start..end]),
+        span: Span::new(start, end),
+    });
+    end
+}
+
+/// Lexes the string literal whose opening quote is at `start`. Returns
+/// the token (spanning to end of input when unterminated) and whether
+/// the literal closed. A `\` before `"` or `\` escapes it; before
+/// anything else it is kept literally (seed behavior).
+fn string(input: &str, start: usize) -> (Lexed<'_>, bool) {
+    let bytes = input.as_bytes();
+    let body = start + 1;
+    let mut owned: Option<String> = None;
+    // Start of the content not yet copied into `owned`.
+    let mut copied = body;
+    let mut j = body;
+    let (content_end, end, closed) = loop {
+        match bytes[j..].iter().position(|&b| b == b'"' || b == b'\\') {
+            None => break (bytes.len(), bytes.len(), false),
+            Some(n) if bytes[j + n] == b'"' => break (j + n, j + n + 1, true),
+            Some(n) => {
+                let slash = j + n;
+                if matches!(bytes.get(slash + 1), Some(b'"' | b'\\')) {
+                    owned
+                        .get_or_insert_with(String::new)
+                        .push_str(&input[copied..slash]);
+                    copied = slash + 1;
+                    j = slash + 2;
+                } else {
+                    j = slash + 1;
+                }
+            }
+        }
+    };
+    let content = match owned {
+        Some(mut s) => {
+            s.push_str(&input[copied..content_end]);
+            Cow::Owned(s)
+        }
+        None => Cow::Borrowed(&input[body..content_end]),
+    };
+    let lexed = Lexed {
+        tok: Tok::Str(content),
+        span: Span::new(start, end),
+    };
+    (lexed, closed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn words(src: &str) -> Vec<Tok> {
+    fn words(src: &str) -> Vec<Tok<'_>> {
         let (toks, errors) = lex(src);
         assert!(errors.is_empty(), "unexpected lex errors: {errors:?}");
         toks.into_iter().map(|l| l.tok).collect()
@@ -150,8 +222,8 @@ mod tests {
         assert_eq!(
             words(r#"goal g1 "text" { }"#),
             vec![
-                Tok::Word("goal".into()),
-                Tok::Word("g1".into()),
+                Tok::Word("goal"),
+                Tok::Word("g1"),
                 Tok::Str("text".into()),
                 Tok::LBrace,
                 Tok::RBrace,
@@ -171,11 +243,7 @@ mod tests {
     fn comments_skipped_both_styles() {
         assert_eq!(
             words("a // to eol\nb # hash\nc"),
-            vec![
-                Tok::Word("a".into()),
-                Tok::Word("b".into()),
-                Tok::Word("c".into()),
-            ]
+            vec![Tok::Word("a"), Tok::Word("b"), Tok::Word("c"),]
         );
     }
 
@@ -230,7 +298,7 @@ mod tests {
     }
 
     /// Tokens paired with the source text each span covers.
-    fn spanned(src: &str) -> Vec<(Tok, &str)> {
+    fn spanned(src: &str) -> Vec<(Tok<'_>, &str)> {
         let (toks, errors) = lex(src);
         assert!(errors.is_empty(), "unexpected lex errors: {errors:?}");
         toks.into_iter()
@@ -243,10 +311,10 @@ mod tests {
         assert_eq!(
             spanned("goal é α_1 x_é2"),
             vec![
-                (Tok::Word("goal".into()), "goal"),
-                (Tok::Word("é".into()), "é"),
-                (Tok::Word("α_1".into()), "α_1"),
-                (Tok::Word("x_é2".into()), "x_é2"),
+                (Tok::Word("goal"), "goal"),
+                (Tok::Word("é"), "é"),
+                (Tok::Word("α_1"), "α_1"),
+                (Tok::Word("x_é2"), "x_é2"),
             ]
         );
         let (toks, _) = lex("é α_1");
@@ -260,13 +328,13 @@ mod tests {
         let src = "a\u{A0}b\u{2028}c\u{A0}{\u{2028}}";
         let (toks, errors) = lex(src);
         assert!(errors.is_empty(), "unexpected lex errors: {errors:?}");
-        let got: Vec<(Tok, Span)> = toks.into_iter().map(|l| (l.tok, l.span)).collect();
+        let got: Vec<(Tok<'_>, Span)> = toks.into_iter().map(|l| (l.tok, l.span)).collect();
         assert_eq!(
             got,
             vec![
-                (Tok::Word("a".into()), Span::new(0, 1)),
-                (Tok::Word("b".into()), Span::new(3, 4)),
-                (Tok::Word("c".into()), Span::new(7, 8)),
+                (Tok::Word("a"), Span::new(0, 1)),
+                (Tok::Word("b"), Span::new(3, 4)),
+                (Tok::Word("c"), Span::new(7, 8)),
                 (Tok::LBrace, Span::new(10, 11)),
                 (Tok::RBrace, Span::new(14, 15)),
             ]
@@ -279,18 +347,15 @@ mod tests {
         assert_eq!(
             spanned(src),
             vec![
-                (Tok::Word("x".into()), "x"),
+                (Tok::Word("x"), "x"),
                 (Tok::Str(r#"a"b\c"#.into()), r#""a\"b\\c""#),
-                (Tok::Word("y".into()), "y"),
+                (Tok::Word("y"), "y"),
             ]
         );
         // An escaped backslash before the closing quote still closes it.
         assert_eq!(
             spanned(r#""\\" z"#),
-            vec![
-                (Tok::Str(r"\".into()), r#""\\""#),
-                (Tok::Word("z".into()), "z"),
-            ]
+            vec![(Tok::Str(r"\".into()), r#""\\""#), (Tok::Word("z"), "z"),]
         );
     }
 
@@ -300,9 +365,9 @@ mod tests {
         assert_eq!(
             spanned(src),
             vec![
-                (Tok::Word("goal".into()), "goal"),
+                (Tok::Word("goal"), "goal"),
                 (Tok::Str("ü ☃ 日本 🚀".into()), "\"ü ☃ 日本 🚀\""),
-                (Tok::Word("x".into()), "x"),
+                (Tok::Word("x"), "x"),
             ]
         );
     }

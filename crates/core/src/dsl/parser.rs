@@ -26,36 +26,58 @@
 //!   seed parser (and the builder), `ref` targets must already be
 //!   declared — there are no forward references.
 //!
-//! Everything that survives is fed to [`ArgumentBuilder`], which — by
-//! construction — accepts it, so a file with errors still yields a
-//! best-effort [`Argument`] plus a sorted diagnostic stream.
+//! - **Too deep**: a block opened more than [`MAX_NESTING`] levels deep
+//!   (the argument's own `{` is the first) is reported at its `{` and
+//!   skipped to its matching `}`; nothing inside it is recorded. The
+//!   seed parser has no such limit, so on a file nested that deep the
+//!   two parsers disagree by design.
+//!
+//! Each node and edge is validated once, as it is read, against exactly
+//! the checks [`ArgumentBuilder`](crate::argument::ArgumentBuilder)
+//! applies, and everything that survives is handed to the arena as is:
+//! each id is allocated once and shared by its node, its edges and the
+//! source map. A file with errors still yields a best-effort
+//! [`Argument`] plus a sorted diagnostic stream.
+//!
+//! The parser reads the lexer's borrowed tokens by reference: the only
+//! text it copies is what the argument keeps (the name, ids and node
+//! texts).
 
-use std::collections::HashSet;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 
-use casekit_logic::{ltl::parse_ltl, prop, ParseError, Span, SyntaxError, SyntaxErrorKind};
+use casekit_logic::{
+    ltl::parse_ltl, prop, ParseError, Span, SyntaxError, SyntaxErrorKind, MAX_NESTING,
+};
 
 use super::lexer::{lex, Lexed, Tok};
 use super::source_map::{NodeSpans, SourceMap};
 use super::{edge_kind_for, kind_of, DslError, ParseOutcome};
-use crate::argument::Argument;
-use crate::node::{EdgeKind, FormalPayload, Node, NodeId, NodeKind};
+use crate::argument::{Argument, Edge, NodeIdx};
+use crate::node::{EdgeKind, FormalPayload, Node, NodeId};
 
 /// Parses `input`, recovering at every error. See the module docs for
 /// the recovery strategy.
 pub(crate) fn parse(input: &str) -> ParseOutcome {
     let (toks, lex_errors) = lex(input);
+    let open_string = lex_errors
+        .iter()
+        .find(|e| e.kind == SyntaxErrorKind::UnterminatedString)
+        .map(|e| e.span.start);
     let mut p = Parser {
-        input,
-        toks,
+        toks: &toks,
         pos: 0,
         end: input.len(),
+        open_string,
+        depth: 0,
         errors: lex_errors
             .into_iter()
             .map(|error| DslError { error, node: None })
             .collect(),
-        declared: HashSet::new(),
+        index: HashMap::new(),
         nodes: Vec::new(),
         edges: Vec::new(),
+        endpoints: Vec::new(),
         edge_set: HashSet::new(),
         source_map: SourceMap::new(),
     };
@@ -64,23 +86,23 @@ pub(crate) fn parse(input: &str) -> ParseOutcome {
     // "expected `}`" cascade; otherwise parse the body (even without a
     // name — the diagnostics are still real).
     if !(name.is_none() && p.pos >= p.toks.len()) {
-        p.node_list(None, false);
+        p.body(Parent::Top, p.here());
     }
     p.trailing();
 
     let argument = name.and_then(|name| {
-        let mut builder = Argument::builder(name);
-        for node in std::mem::take(&mut p.nodes) {
-            builder = builder.node(node);
-        }
-        for (from, to, kind) in std::mem::take(&mut p.edges) {
-            builder = builder.edge(from.as_str(), to.as_str(), kind);
-        }
-        match builder.build() {
+        let built = Argument::from_validated(
+            name,
+            std::mem::take(&mut p.nodes),
+            std::mem::take(&mut p.index),
+            std::mem::take(&mut p.edges),
+            std::mem::take(&mut p.endpoints),
+        );
+        match built {
             Ok(argument) => Some(argument),
             Err(e) => {
-                // Unreachable by construction (everything was pre-validated),
-                // but never let a builder refusal turn into a panic.
+                // Only an index space overflow gets here; never let it
+                // turn into a panic.
                 p.push_err(
                     SyntaxError::with_kind(
                         SyntaxErrorKind::Structure,
@@ -109,21 +131,62 @@ pub(crate) fn parse(input: &str) -> ParseOutcome {
     }
 }
 
-struct Parser<'a> {
-    input: &'a str,
-    toks: Vec<Lexed>,
+/// A string literal read from the token stream.
+struct Literal<'t> {
+    content: &'t str,
+    span: Span,
+    /// Whether `content` maps byte-for-byte onto the source after the
+    /// opening quote: the literal is borrowed (has no escapes) and
+    /// closed.
+    verbatim: bool,
+}
+
+impl Literal<'_> {
+    /// Maps a span inside the content to file coordinates: exact when
+    /// the literal is verbatim, otherwise the whole literal is blamed.
+    fn anchor(&self, inner: Span) -> Span {
+        if self.verbatim && inner.start <= self.content.len() {
+            let body = self.span.start + 1;
+            Span::new(body + inner.start, (body + inner.end).min(self.span.end))
+        } else {
+            self.span
+        }
+    }
+}
+
+/// Where the nodes of a block attach.
+#[derive(Debug, Clone, Copy)]
+enum Parent {
+    /// The argument's own block: nodes are roots and `ref` is an error.
+    Top,
+    /// The body of a recorded node.
+    Node(NodeIdx),
+    /// The body of a node that could not be recorded: parsed for
+    /// diagnostics only.
+    Suppressed,
+}
+
+/// The parser state. Tokens live for `'t` and borrow source text for
+/// `'a`; every token read is a shared borrow of `toks`, never a copy.
+struct Parser<'t, 'a> {
+    toks: &'t [Lexed<'a>],
     pos: usize,
     end: usize,
+    /// Where the unterminated string literal starts, if there is one.
+    open_string: Option<usize>,
+    /// Blocks open at the cursor, the argument's own included.
+    depth: usize,
     errors: Vec<DslError>,
-    declared: HashSet<NodeId>,
+    index: HashMap<NodeId, NodeIdx>,
     nodes: Vec<Node>,
-    edges: Vec<(NodeId, NodeId, EdgeKind)>,
-    edge_set: HashSet<(NodeId, NodeId, EdgeKind)>,
+    edges: Vec<Edge>,
+    endpoints: Vec<(NodeIdx, NodeIdx)>,
+    edge_set: HashSet<(NodeIdx, NodeIdx, EdgeKind)>,
     source_map: SourceMap,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<&Tok> {
+impl<'t, 'a> Parser<'t, 'a> {
+    fn peek(&self) -> Option<&'t Tok<'a>> {
         self.toks.get(self.pos).map(|l| &l.tok)
     }
 
@@ -134,12 +197,38 @@ impl Parser<'_> {
             .unwrap_or(Span::point(self.end))
     }
 
-    fn next(&mut self) -> Option<Lexed> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+    fn next(&mut self) {
+        self.pos = (self.pos + 1).min(self.toks.len());
+    }
+
+    /// Consumes the word at the cursor when it can name a node (not a
+    /// kind keyword, not `ref`).
+    fn identifier(&mut self) -> Option<(&'a str, Span)> {
+        match self.peek() {
+            Some(&Tok::Word(w)) if kind_of(w).is_none() && w != "ref" => {
+                let span = self.here();
+                self.next();
+                Some((w, span))
+            }
+            _ => None,
         }
-        t
+    }
+
+    /// Consumes the string literal at the cursor, if there is one.
+    fn string(&mut self) -> Option<Literal<'t>> {
+        match self.peek() {
+            Some(Tok::Str(content)) => {
+                let span = self.here();
+                self.next();
+                Some(Literal {
+                    content,
+                    span,
+                    verbatim: matches!(content, Cow::Borrowed(_))
+                        && self.open_string != Some(span.start),
+                })
+            }
+            _ => None,
+        }
     }
 
     fn push_err(&mut self, error: ParseError, node: Option<NodeId>) {
@@ -171,17 +260,12 @@ impl Parser<'_> {
                         return;
                     }
                     depth -= 1;
-                    self.next();
                 }
-                Tok::LBrace => {
-                    depth += 1;
-                    self.next();
-                }
-                Tok::Word(w) if depth == 0 && (kind_of(w).is_some() || w == "ref") => return,
-                _ => {
-                    self.next();
-                }
+                Tok::LBrace => depth += 1,
+                &Tok::Word(w) if depth == 0 && (kind_of(w).is_some() || w == "ref") => return,
+                _ => {}
             }
+            self.next();
         }
     }
 
@@ -189,42 +273,56 @@ impl Parser<'_> {
     /// Returns the name when one was present.
     fn header(&mut self) -> Option<String> {
         match self.peek() {
-            Some(Tok::Word(w)) if w == "argument" => {
-                self.next();
-            }
+            Some(Tok::Word("argument")) => self.next(),
             Some(Tok::Word(_)) => {
                 self.err_expected("`argument`");
                 self.next();
             }
             _ => self.err_expected("`argument`"),
         }
-        let name = match self.peek() {
-            Some(Tok::Str(_)) => {
-                let span = self.here();
-                let Some(Tok::Str(s)) = self.next().map(|l| l.tok) else {
-                    unreachable!("peeked a string")
-                };
-                self.source_map.name = Some(span);
-                Some(s)
+        let name = match self.string() {
+            Some(name) => {
+                self.source_map.name = Some(name.span);
+                Some(name.content.to_string())
             }
-            _ => {
+            None => {
                 self.err_expected("argument name string");
                 None
             }
         };
         match self.peek() {
-            Some(Tok::LBrace) => {
-                self.next();
-            }
+            Some(Tok::LBrace) => self.next(),
             _ => self.err_expected("`{`"),
         }
         name
     }
 
+    /// Parses a block body whose `{` (at `open`) was just consumed, one
+    /// level deeper; past [`MAX_NESTING`] levels the body is reported and
+    /// skipped, balanced, without recursing.
+    fn body(&mut self, parent: Parent, open: Span) {
+        if self.depth == MAX_NESTING {
+            self.push_err(SyntaxError::nesting_too_deep(open), None);
+            let mut inner = 0usize;
+            while let Some(tok) = self.peek() {
+                self.next();
+                match tok {
+                    Tok::LBrace => inner += 1,
+                    Tok::RBrace if inner == 0 => return,
+                    Tok::RBrace => inner -= 1,
+                    _ => {}
+                }
+            }
+            return;
+        }
+        self.depth += 1;
+        self.node_list(parent);
+        self.depth -= 1;
+    }
+
     /// Parses nodes/refs until the matching `}` (consumed) or end of
-    /// input (reported). `parent` is `None` at top level. `suppress`
-    /// parses without recording — used inside unrecoverable subtrees.
-    fn node_list(&mut self, parent: Option<(&NodeId, NodeKind)>, suppress: bool) {
+    /// input (reported).
+    fn node_list(&mut self, parent: Parent) {
         loop {
             match self.peek() {
                 None => {
@@ -235,8 +333,8 @@ impl Parser<'_> {
                     self.next();
                     return;
                 }
-                Some(Tok::Word(w)) if w == "ref" => self.reference(parent, suppress),
-                Some(Tok::Word(_)) => self.node(parent, suppress),
+                Some(Tok::Word("ref")) => self.reference(parent),
+                Some(Tok::Word(_)) => self.node(parent),
                 Some(_) => {
                     self.err_expected("a node kind");
                     self.sync();
@@ -247,24 +345,15 @@ impl Parser<'_> {
 
     /// Parses `ref IDENT`, validating the edge at the reference site
     /// (matching the seed parser's no-forward-reference semantics).
-    fn reference(&mut self, parent: Option<(&NodeId, NodeKind)>, suppress: bool) {
+    fn reference(&mut self, parent: Parent) {
         let kw_span = self.here();
         self.next(); // `ref`
-        let (target, target_span) = match self.peek() {
-            Some(Tok::Word(w)) if kind_of(w).is_none() && w != "ref" => {
-                let span = self.here();
-                let Some(Tok::Word(w)) = self.next().map(|l| l.tok) else {
-                    unreachable!("peeked a word")
-                };
-                (w, span)
-            }
-            _ => {
-                self.err_expected("a node identifier");
-                return;
-            }
+        let Some((target, target_span)) = self.identifier() else {
+            self.err_expected("a node identifier");
+            return;
         };
         match parent {
-            None => self.push_err(
+            Parent::Top => self.push_err(
                 SyntaxError::with_kind(
                     SyntaxErrorKind::Structure,
                     "`ref` is only allowed inside a node body",
@@ -273,26 +362,36 @@ impl Parser<'_> {
                 .with_hint("nest `ref` under the node it supports"),
                 None,
             ),
-            Some((parent_id, _)) if !suppress => {
-                // Edge kind depends on the *referenced* node's kind, which
-                // may not be known yet; we default to SupportedBy — a ref
-                // to a context node should use nesting instead.
-                self.add_edge(
-                    parent_id.clone(),
-                    NodeId::new(target),
-                    EdgeKind::SupportedBy,
-                    target_span,
-                );
-            }
-            Some(_) => {}
+            // Edge kind depends on the *referenced* node's kind, which
+            // may not be known yet; we default to SupportedBy — a ref
+            // to a context node should use nesting instead.
+            Parent::Node(from) => match self.index.get(target) {
+                Some(&to) => self.add_edge(from, to, EdgeKind::SupportedBy, target_span),
+                None => self.push_err(
+                    SyntaxError::with_kind(
+                        SyntaxErrorKind::Structure,
+                        format!("unknown node `{target}`"),
+                        target_span,
+                    )
+                    .with_hint("`ref` targets must be declared earlier in the file"),
+                    None,
+                ),
+            },
+            Parent::Suppressed => {}
         }
     }
 
-    /// Validates and records one edge, reporting (and dropping) exactly
-    /// the edges the [`ArgumentBuilder`](crate::argument::ArgumentBuilder)
-    /// would refuse — so the builder never fails on what survives.
-    fn add_edge(&mut self, from: NodeId, to: NodeId, kind: EdgeKind, span: Span) {
+    fn id(&self, idx: NodeIdx) -> &NodeId {
+        &self.nodes[idx.index()].id
+    }
+
+    /// Validates and records one edge between declared nodes, reporting
+    /// (and dropping) exactly the edges the
+    /// [`ArgumentBuilder`](crate::argument::ArgumentBuilder) would refuse
+    /// — so the arena never receives an invalid one.
+    fn add_edge(&mut self, from: NodeIdx, to: NodeIdx, kind: EdgeKind, span: Span) {
         if from == to {
+            let from = self.id(from).clone();
             self.push_err(
                 SyntaxError::with_kind(
                     SyntaxErrorKind::Structure,
@@ -303,63 +402,49 @@ impl Parser<'_> {
             );
             return;
         }
-        if !self.declared.contains(&to) {
+        let (from_id, to_id) = (self.id(from).clone(), self.id(to).clone());
+        if !self.edge_set.insert((from, to, kind)) {
             self.push_err(
                 SyntaxError::with_kind(
                     SyntaxErrorKind::Structure,
-                    format!("unknown node `{to}`"),
-                    span,
-                )
-                .with_hint("`ref` targets must be declared earlier in the file"),
-                None,
-            );
-            return;
-        }
-        if !self.edge_set.insert((from.clone(), to.clone(), kind)) {
-            self.push_err(
-                SyntaxError::with_kind(
-                    SyntaxErrorKind::Structure,
-                    format!("duplicate edge `{from}` -> `{to}`"),
+                    format!("duplicate edge `{from_id}` -> `{to_id}`"),
                     span,
                 ),
-                Some(to),
+                Some(to_id),
             );
             return;
         }
-        self.edges.push((from, to, kind));
+        self.edges.push(Edge {
+            from: from_id,
+            to: to_id,
+            kind,
+        });
+        self.endpoints.push((from, to));
     }
 
     /// Parses one node declaration (and its body).
-    fn node(&mut self, parent: Option<(&NodeId, NodeKind)>, suppress: bool) {
+    fn node(&mut self, parent: Parent) {
         let kw_span = self.here();
-        let Some(Tok::Word(kind_word)) = self.next().map(|l| l.tok) else {
+        let Some(&Tok::Word(kind_word)) = self.peek() else {
             unreachable!("caller peeked a word")
         };
-        let kind = match kind_of(&kind_word) {
-            Some(kind) => Some(kind),
-            None => {
-                let mut e = SyntaxError::with_kind(
-                    SyntaxErrorKind::UnknownKeyword,
-                    format!("unknown node kind `{kind_word}`"),
-                    kw_span,
-                );
-                if let Some(suggestion) = nearest_kind(&kind_word) {
-                    e = e.with_hint(format!("did you mean `{suggestion}`?"));
-                }
-                self.push_err(e, None);
-                None
+        self.next();
+        let kind = kind_of(kind_word);
+        if kind.is_none() {
+            let mut e = SyntaxError::with_kind(
+                SyntaxErrorKind::UnknownKeyword,
+                format!("unknown node kind `{kind_word}`"),
+                kw_span,
+            );
+            if let Some(suggestion) = nearest_kind(kind_word) {
+                e = e.with_hint(format!("did you mean `{suggestion}`?"));
             }
-        };
+            self.push_err(e, None);
+        }
 
-        let (id, id_span) = match self.peek() {
-            Some(Tok::Word(w)) if kind_of(w).is_none() && w != "ref" => {
-                let span = self.here();
-                let Some(Tok::Word(w)) = self.next().map(|l| l.tok) else {
-                    unreachable!("peeked a word")
-                };
-                (Some(w), span)
-            }
-            _ => {
+        let (id, id_span) = match self.identifier() {
+            Some((w, span)) => (Some(w), span),
+            None => {
                 self.err_expected("a node identifier");
                 (None, self.here())
             }
@@ -367,11 +452,22 @@ impl Parser<'_> {
 
         // A node we can't name or kind can't be recorded; keep parsing
         // its remainder (and body) for diagnostics only.
-        let suppress = suppress || kind.is_none() || id.is_none();
-        let node_id = NodeId::new(id.as_deref().unwrap_or(""));
-
-        let mut duplicate = false;
-        if !suppress && self.declared.contains(&node_id) {
+        let suppress = matches!(parent, Parent::Suppressed) || kind.is_none() || id.is_none();
+        let id = id.unwrap_or("");
+        // The node this declaration names: the original for a duplicate
+        // (its children attach there), `None` for a new or suppressed one.
+        let existing = if suppress {
+            None
+        } else {
+            self.index.get(id).copied()
+        };
+        // The id is allocated once, here, and shared by the node, its
+        // edges, the source map and the diagnostics about it.
+        let node_id = match existing {
+            Some(original) => self.id(original).clone(),
+            None => NodeId::new(id),
+        };
+        if existing.is_some() {
             self.push_err(
                 SyntaxError::with_kind(
                     SyntaxErrorKind::Structure,
@@ -381,20 +477,13 @@ impl Parser<'_> {
                 .with_hint("rename one of the declarations, or use `ref` to share a node"),
                 Some(node_id.clone()),
             );
-            duplicate = true;
         }
 
-        let (text, text_span) = match self.peek() {
-            Some(Tok::Str(_)) => {
-                let span = self.here();
-                let Some(Tok::Str(s)) = self.next().map(|l| l.tok) else {
-                    unreachable!("peeked a string")
-                };
-                (s, span)
-            }
-            _ => {
+        let (text, text_span) = match self.string() {
+            Some(text) => (Some(text.content), text.span),
+            None => {
                 self.err_expected("node text string");
-                (String::new(), Span::point(self.here().start))
+                (None, Span::point(self.here().start))
             }
         };
 
@@ -403,47 +492,50 @@ impl Parser<'_> {
         let mut payload_span: Option<Span> = None;
         let mut header_end = text_span.end.max(id_span.end).max(kw_span.end);
         loop {
-            match self.peek() {
-                Some(Tok::Word(w)) if w == "formal" => {
-                    self.next();
-                    if let Some((src, span)) = self.payload_string("formula") {
-                        payload_span = Some(span);
-                        header_end = header_end.max(span.end);
-                        match prop::parse(&src) {
-                            Ok(f) => formal = Some(FormalPayload::Prop(f)),
-                            Err(e) => self.payload_error("formal", &node_id, span, &src, &e),
-                        }
-                    }
-                }
-                Some(Tok::Word(w)) if w == "temporal" => {
-                    self.next();
-                    if let Some((src, span)) = self.payload_string("LTL formula") {
-                        payload_span = Some(span);
-                        header_end = header_end.max(span.end);
-                        match parse_ltl(&src) {
-                            Ok(f) => formal = Some(FormalPayload::Temporal(f)),
-                            Err(e) => self.payload_error("temporal", &node_id, span, &src, &e),
-                        }
-                    }
-                }
-                Some(Tok::Word(w)) if w == "undeveloped" => {
+            let which = match self.peek() {
+                Some(Tok::Word(w @ ("formal" | "temporal"))) => *w,
+                Some(Tok::Word("undeveloped")) => {
                     header_end = header_end.max(self.here().end);
                     self.next();
                     undeveloped = true;
+                    continue;
                 }
                 _ => break,
+            };
+            self.next();
+            let what = if which == "formal" {
+                "formula string"
+            } else {
+                "LTL formula string"
+            };
+            let Some(literal) = self.string() else {
+                self.err_expected(what);
+                continue;
+            };
+            payload_span = Some(literal.span);
+            header_end = header_end.max(literal.span.end);
+            let parsed = if which == "formal" {
+                prop::parse(literal.content).map(FormalPayload::Prop)
+            } else {
+                parse_ltl(literal.content).map(FormalPayload::Temporal)
+            };
+            match parsed {
+                Ok(payload) => formal = Some(payload),
+                Err(e) => self.payload_error(which, &node_id, &literal, &e),
             }
         }
 
-        if !suppress && !duplicate {
-            let kind = kind.expect("suppress covers kind.is_none()");
+        let children = if let Some(original) = existing {
+            Parent::Node(original)
+        } else if let (false, Some(kind)) = (suppress, kind) {
+            let idx = NodeIdx::new(self.nodes.len());
+            let text = text.map_or_else(String::new, |t| t.to_string());
             let mut node = Node::new(node_id.clone(), kind, text);
             node.formal = formal;
             node.undeveloped = undeveloped;
-            self.declared.insert(node_id.clone());
-            self.nodes.push(node);
+            self.index.insert(node_id.clone(), idx);
             self.source_map.record(
-                node_id.clone(),
+                node_id,
                 NodeSpans {
                     keyword: kw_span,
                     id: id_span,
@@ -452,79 +544,42 @@ impl Parser<'_> {
                     header: Span::new(kw_span.start, header_end),
                 },
             );
-            if let Some((parent_id, _)) = parent {
-                self.add_edge(
-                    parent_id.clone(),
-                    node_id.clone(),
-                    edge_kind_for(kind),
-                    id_span,
-                );
+            self.nodes.push(node);
+            if let Parent::Node(from) = parent {
+                self.add_edge(from, idx, edge_kind_for(kind), id_span);
             }
-        }
+            Parent::Node(idx)
+        } else {
+            Parent::Suppressed
+        };
 
         if matches!(self.peek(), Some(Tok::LBrace)) {
+            let open = self.here();
             self.next();
             // Children of a duplicate declaration attach to the original
             // node (same id); children of a suppressed subtree are parsed
             // for diagnostics only.
-            self.node_list(Some((&node_id, kind.unwrap_or(NodeKind::Goal))), suppress);
-        }
-    }
-
-    /// Consumes the quoted payload string after `formal`/`temporal`,
-    /// reporting (without consuming) anything else.
-    fn payload_string(&mut self, what: &str) -> Option<(String, Span)> {
-        match self.peek() {
-            Some(Tok::Str(_)) => {
-                let span = self.here();
-                let Some(Tok::Str(s)) = self.next().map(|l| l.tok) else {
-                    unreachable!("peeked a string")
-                };
-                Some((s, span))
-            }
-            _ => {
-                self.err_expected(&format!("{what} string"));
-                None
-            }
+            self.body(children, open);
         }
     }
 
     /// Reports an embedded formula error, re-anchored from the payload's
-    /// own coordinates into the enclosing file.
-    fn payload_error(
-        &mut self,
-        which: &str,
-        node: &NodeId,
-        tok_span: Span,
-        src: &str,
-        e: &ParseError,
-    ) {
-        let span = self.anchor_payload(tok_span, src, e.span);
+    /// own coordinates into the enclosing file. Too-deep nesting keeps
+    /// its own kind; every other payload error is a bad payload.
+    fn payload_error(&mut self, which: &str, node: &NodeId, literal: &Literal<'_>, e: &ParseError) {
+        let span = literal.anchor(e.span);
+        let kind = match e.kind {
+            SyntaxErrorKind::NestingTooDeep => SyntaxErrorKind::NestingTooDeep,
+            _ => SyntaxErrorKind::BadPayload,
+        };
         self.push_err(
             SyntaxError::with_kind(
-                SyntaxErrorKind::BadPayload,
+                kind,
                 format!("in {which} payload of `{node}`: {}", e.message),
                 span,
             ),
             Some(node.clone()),
         );
-    }
-
-    /// Maps a span inside a payload string's *content* to file
-    /// coordinates. Exact when the literal has no escapes (content bytes
-    /// align one-to-one after the opening quote); otherwise the whole
-    /// literal is blamed.
-    fn anchor_payload(&self, tok_span: Span, content: &str, inner: Span) -> Span {
-        let raw = &self.input[tok_span.start..tok_span.end];
-        let unescaped = raw.len() == content.len() + 2;
-        if unescaped && inner.start <= content.len() {
-            Span::new(
-                tok_span.start + 1 + inner.start,
-                (tok_span.start + 1 + inner.end).min(tok_span.end),
-            )
-        } else {
-            tok_span
-        }
     }
 
     /// Reports anything left after the argument's closing `}`.

@@ -34,6 +34,14 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// Ids hash and compare exactly as their text does, so maps keyed by
+/// [`NodeId`] can be queried with a plain `&str`.
+impl std::borrow::Borrow<str> for NodeId {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl From<&str> for NodeId {
     fn from(s: &str) -> Self {
         NodeId::new(s)

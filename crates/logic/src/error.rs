@@ -67,6 +67,18 @@ impl fmt::Display for Span {
     }
 }
 
+/// The deepest nesting any parser in the workspace accepts: `.case`
+/// blocks (the argument's own `{` counts as the first level), and the
+/// parentheses, prefix operators and right-nested `->` chains of `prop`
+/// and LTL formulas.
+///
+/// The parsers recurse once per level, and so do the passes that later
+/// walk what they built (drop, Tseitin compilation, rendering). Input
+/// nested deeper is refused with [`SyntaxErrorKind::NestingTooDeep`]
+/// instead of overflowing the stack, and the limit leaves everything
+/// the parsers accept processable end to end on a 2 MiB thread stack.
+pub const MAX_NESTING: usize = 128;
+
 /// What class of syntax problem a [`SyntaxError`] reports.
 ///
 /// The kinds are deliberately coarse — one per *recovery strategy and
@@ -93,6 +105,8 @@ pub enum SyntaxErrorKind {
     Structure,
     /// Well-formed input followed by trailing garbage.
     TrailingInput,
+    /// Nesting deeper than [`MAX_NESTING`] levels.
+    NestingTooDeep,
     /// Errors constructed from a bare message ([`SyntaxError::new`]).
     Other,
 }
@@ -108,6 +122,7 @@ impl fmt::Display for SyntaxErrorKind {
             SyntaxErrorKind::BadPayload => "bad-payload",
             SyntaxErrorKind::Structure => "structure",
             SyntaxErrorKind::TrailingInput => "trailing-input",
+            SyntaxErrorKind::NestingTooDeep => "nesting-too-deep",
             SyntaxErrorKind::Other => "other",
         })
     }
@@ -185,6 +200,17 @@ impl SyntaxError {
             found,
             hint: None,
         }
+    }
+
+    /// The error for a construct nested one level past
+    /// [`MAX_NESTING`], located at the token that opens that level.
+    pub fn nesting_too_deep(span: Span) -> Self {
+        SyntaxError::with_kind(
+            SyntaxErrorKind::NestingTooDeep,
+            format!("nesting deeper than {MAX_NESTING} levels"),
+            span,
+        )
+        .with_hint("flatten the structure, or split it into separately declared parts")
     }
 
     /// Attaches a fix-it hint.

@@ -100,4 +100,6 @@ pub mod prop;
 pub mod sorts;
 
 mod error;
-pub use error::{LineIndex, Located, LogicError, ParseError, Span, SyntaxError, SyntaxErrorKind};
+pub use error::{
+    LineIndex, Located, LogicError, ParseError, Span, SyntaxError, SyntaxErrorKind, MAX_NESTING,
+};

@@ -11,13 +11,34 @@
 //! ```
 //!
 //! Unicode aliases `¬ ∧ ∨ → ◇ □ ○` are accepted (`◇` = F, `□` = G, `○` = X).
+//!
+//! Parentheses, prefix operators and the right operand of `->` nest at
+//! most [`MAX_NESTING`] levels deep; deeper input is a
+//! [`SyntaxErrorKind::NestingTooDeep`](crate::SyntaxErrorKind::NestingTooDeep)
+//! error.
 
 use super::ast::Ltl;
-use crate::error::{ParseError, Span, SyntaxError};
+use crate::error::{ParseError, Span, SyntaxError, MAX_NESTING};
+
+/// Symbolic binary operators and their precedence (higher binds
+/// tighter), a longer spelling before any it starts with. `U` and `R`
+/// (precedence 4) are words; `->` is the only right-associative one.
+const SYMBOLS: [(&str, u8); 8] = [
+    ("->", 1),
+    ("→", 1),
+    ("||", 2),
+    ("|", 2),
+    ("∨", 2),
+    ("&&", 3),
+    ("&", 3),
+    ("∧", 3),
+];
 
 struct P<'a> {
     input: &'a str,
     pos: usize,
+    /// Levels of nesting open at the cursor.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -75,94 +96,101 @@ impl<'a> P<'a> {
         self.peek().map(|c| format!("`{c}`"))
     }
 
-    fn implies(&mut self) -> Result<Ltl, ParseError> {
-        let lhs = self.or()?;
-        if self.try_eat("->") || self.try_eat("→") {
-            let rhs = self.implies()?;
-            return Ok(lhs.implies(rhs));
+    /// Opens one more nesting level for the operator that starts at
+    /// `opener` and ends at the cursor, refusing past [`MAX_NESTING`].
+    /// The caller closes it with `self.depth -= 1` once the nested part
+    /// parsed; an error ends the whole parse, so no level needs closing
+    /// on that path.
+    fn enter(&mut self, opener: usize) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(SyntaxError::nesting_too_deep(Span::new(opener, self.pos)));
         }
-        Ok(lhs)
+        self.depth += 1;
+        Ok(())
     }
 
-    fn or(&mut self) -> Result<Ltl, ParseError> {
-        let mut lhs = self.and()?;
-        loop {
-            if self.try_eat("||")
-                || (self.peek() == Some('|') && self.try_eat("|"))
-                || self.try_eat("∨")
-            {
-                let rhs = self.and()?;
-                lhs = lhs.or(rhs);
-            } else {
-                break;
-            }
+    /// Consumes the prefix operator at the cursor, if any, and returns
+    /// the constructor it applies.
+    fn prefix(&mut self) -> Option<fn(Ltl) -> Ltl> {
+        if self.try_eat("~") || self.try_eat("!") || self.try_eat("¬") {
+            return Some(Ltl::not);
         }
-        Ok(lhs)
+        if self.try_eat("◇") {
+            return Some(Ltl::finally);
+        }
+        if self.try_eat("□") {
+            return Some(Ltl::globally);
+        }
+        if self.try_eat("○") {
+            return Some(Ltl::next);
+        }
+        let op: fn(Ltl) -> Ltl = match self.peek_word() {
+            Some("X") => Ltl::next,
+            Some("F") => Ltl::finally,
+            Some("G") => Ltl::globally,
+            _ => return None,
+        };
+        self.eat_word();
+        Some(op)
     }
 
-    fn and(&mut self) -> Result<Ltl, ParseError> {
-        let mut lhs = self.until()?;
-        loop {
-            if self.try_eat("&&")
-                || (self.peek() == Some('&') && self.try_eat("&"))
-                || self.try_eat("∧")
-            {
-                let rhs = self.until()?;
-                lhs = lhs.and(rhs);
-            } else {
-                break;
-            }
+    /// The binary operator at the cursor, not consumed: its spelling
+    /// and precedence.
+    fn binary_op(&mut self) -> Option<(&'a str, u8)> {
+        self.skip_ws();
+        let rest = &self.input[self.pos..];
+        if let Some(&(symbol, prec)) = SYMBOLS.iter().find(|(s, _)| rest.starts_with(s)) {
+            return Some((symbol, prec));
         }
-        Ok(lhs)
+        match self.peek_word() {
+            Some(word @ ("U" | "R")) => Some((word, 4)),
+            _ => None,
+        }
     }
 
-    fn until(&mut self) -> Result<Ltl, ParseError> {
+    /// Parses a formula whose binary operators all bind at least as
+    /// tightly as `min`: the grammar above by precedence climbing, so a
+    /// parenthesized group costs two stack frames, not one per level of
+    /// precedence.
+    fn binary(&mut self, min: u8) -> Result<Ltl, ParseError> {
         let mut lhs = self.unary()?;
-        loop {
-            match self.peek_word() {
-                Some("U") => {
-                    self.eat_word();
-                    let rhs = self.unary()?;
-                    lhs = lhs.until(rhs);
-                }
-                Some("R") => {
-                    self.eat_word();
-                    let rhs = self.unary()?;
-                    lhs = lhs.release(rhs);
-                }
-                _ => break,
+        while let Some((op, prec)) = self.binary_op() {
+            if prec < min {
+                break;
             }
+            let start = self.pos;
+            self.pos += op.len();
+            let rhs = if prec == 1 {
+                // `->` associates to the right: each one of a chain
+                // nests one level deeper.
+                self.enter(start)?;
+                let rhs = self.binary(prec)?;
+                self.depth -= 1;
+                rhs
+            } else {
+                self.binary(prec + 1)?
+            };
+            lhs = match (prec, op) {
+                (1, _) => lhs.implies(rhs),
+                (2, _) => lhs.or(rhs),
+                (3, _) => lhs.and(rhs),
+                (_, "U") => lhs.until(rhs),
+                _ => lhs.release(rhs),
+            };
         }
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Ltl, ParseError> {
         self.skip_ws();
-        if self.try_eat("~") || self.try_eat("!") || self.try_eat("¬") {
-            return Ok(self.unary()?.not());
-        }
-        if self.try_eat("◇") {
-            return Ok(self.unary()?.finally());
-        }
-        if self.try_eat("□") {
-            return Ok(self.unary()?.globally());
-        }
-        if self.try_eat("○") {
-            return Ok(self.unary()?.next());
+        let start = self.pos;
+        if let Some(op) = self.prefix() {
+            self.enter(start)?;
+            let inner = self.unary()?;
+            self.depth -= 1;
+            return Ok(op(inner));
         }
         match self.peek_word() {
-            Some("X") => {
-                self.eat_word();
-                return Ok(self.unary()?.next());
-            }
-            Some("F") => {
-                self.eat_word();
-                return Ok(self.unary()?.finally());
-            }
-            Some("G") => {
-                self.eat_word();
-                return Ok(self.unary()?.globally());
-            }
             Some("true") => {
                 self.eat_word();
                 return Ok(Ltl::True);
@@ -174,7 +202,9 @@ impl<'a> P<'a> {
             _ => {}
         }
         if self.try_eat("(") {
-            let inner = self.implies()?;
+            self.enter(start)?;
+            let inner = self.binary(1)?;
+            self.depth -= 1;
             if !self.try_eat(")") {
                 let found = self.found_here();
                 return Err(
@@ -212,8 +242,12 @@ impl<'a> P<'a> {
 /// assert_eq!(f.to_string(), "G (below_min -> nonzero U above_min)");
 /// ```
 pub fn parse_ltl(input: &str) -> Result<Ltl, ParseError> {
-    let mut p = P { input, pos: 0 };
-    let f = p.implies()?;
+    let mut p = P {
+        input,
+        pos: 0,
+        depth: 0,
+    };
+    let f = p.binary(1)?;
     p.skip_ws();
     if p.pos < input.len() {
         return Err(SyntaxError::with_kind(
@@ -290,6 +324,27 @@ mod tests {
     fn trailing_input_rejected() {
         assert!(parse_ltl("p q").is_err());
         assert!(parse_ltl("(p").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        use crate::error::{SyntaxErrorKind, MAX_NESTING};
+        let n = MAX_NESTING;
+        let parens = |n: usize| format!("{}p{}", "(".repeat(n), ")".repeat(n));
+        let globally = |n: usize| format!("{}p", "G ".repeat(n));
+        let arrows = |n: usize| format!("{}p", "p -> ".repeat(n));
+        for (make, opener) in [
+            (parens as fn(usize) -> String, Span::new(n, n + 1)),
+            (globally, Span::new(2 * n, 2 * n + 1)),
+            (arrows, Span::new(5 * n + 2, 5 * n + 4)),
+        ] {
+            assert!(parse_ltl(&make(n)).is_ok());
+            let e = parse_ltl(&make(n + 1)).unwrap_err();
+            assert_eq!(e.kind, SyntaxErrorKind::NestingTooDeep);
+            assert_eq!(e.span, opener);
+        }
+        let wide = vec![parens(n); 4].join(" U ");
+        assert!(parse_ltl(&wide).is_ok());
     }
 
     #[test]

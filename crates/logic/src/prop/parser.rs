@@ -13,12 +13,18 @@
 //!
 //! Unicode aliases are accepted: `¬` for `~`, `∧` for `&`, `∨` for `|`,
 //! `⇒`/`→` for `->`, `⇔`/`↔` for `<->`.
+//!
+//! Parentheses, `~` and the right operand of `->` nest at most
+//! [`MAX_NESTING`] levels deep; deeper input is a
+//! [`SyntaxErrorKind::NestingTooDeep`] error.
 
 use super::ast::Formula;
-use crate::error::{ParseError, Span, SyntaxError, SyntaxErrorKind};
+use crate::error::{ParseError, Span, SyntaxError, SyntaxErrorKind, MAX_NESTING};
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
+/// A formula token. Identifiers borrow from the input, so each atom's
+/// name is allocated once, by [`Formula::atom`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
     Not,
     And,
     Or,
@@ -28,16 +34,16 @@ enum Tok {
     RParen,
     True,
     False,
-    Ident(String),
+    Ident(&'a str),
 }
 
-#[derive(Debug, Clone)]
-struct Lexed {
-    tok: Tok,
+#[derive(Debug, Clone, Copy)]
+struct Lexed<'a> {
+    tok: Tok<'a>,
     span: Span,
 }
 
-fn lex(input: &str) -> Result<Vec<Lexed>, ParseError> {
+fn lex(input: &str) -> Result<Vec<Lexed<'_>>, ParseError> {
     let mut out = Vec::new();
     let mut chars = input.char_indices().peekable();
     while let Some(&(i, c)) = chars.peek() {
@@ -161,7 +167,7 @@ fn lex(input: &str) -> Result<Vec<Lexed>, ParseError> {
                 let tok = match word {
                     "T" | "true" => Tok::True,
                     "F" | "false" => Tok::False,
-                    _ => Tok::Ident(word.to_string()),
+                    _ => Tok::Ident(word),
                 };
                 out.push(Lexed {
                     tok,
@@ -181,7 +187,7 @@ fn lex(input: &str) -> Result<Vec<Lexed>, ParseError> {
 }
 
 /// How a token reads in an "expected X, found Y" message.
-fn describe(tok: &Tok) -> String {
+fn describe(tok: &Tok<'_>) -> String {
     match tok {
         Tok::Not => "`~`".into(),
         Tok::And => "`&`".into(),
@@ -196,23 +202,49 @@ fn describe(tok: &Tok) -> String {
     }
 }
 
-struct Parser {
-    toks: Vec<Lexed>,
-    pos: usize,
-    input_len: usize,
+/// The precedence of a binary connective (higher binds tighter) and
+/// whether it associates to the right.
+fn binary(tok: Tok<'_>) -> Option<(u8, bool)> {
+    match tok {
+        Tok::Iff => Some((1, false)),
+        Tok::Implies => Some((2, true)),
+        Tok::Or => Some((3, false)),
+        Tok::And => Some((4, false)),
+        _ => None,
+    }
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Lexed> {
+struct Parser<'a> {
+    toks: Vec<Lexed<'a>>,
+    pos: usize,
+    input_len: usize,
+    /// Levels of nesting open at the cursor.
+    depth: usize,
+}
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&Lexed<'a>> {
         self.toks.get(self.pos)
     }
 
-    fn next(&mut self) -> Option<Lexed> {
-        let t = self.toks.get(self.pos).cloned();
+    fn next(&mut self) -> Option<Lexed<'a>> {
+        let t = self.toks.get(self.pos).copied();
         if t.is_some() {
             self.pos += 1;
         }
         t
+    }
+
+    /// Opens one more nesting level, refusing past [`MAX_NESTING`] at
+    /// `opener`. The caller closes it with `self.depth -= 1` once the
+    /// nested part parsed; an error ends the whole parse, so no level
+    /// needs closing on that path.
+    fn enter(&mut self, opener: Span) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(SyntaxError::nesting_too_deep(opener));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn here(&self) -> Span {
@@ -221,42 +253,35 @@ impl Parser {
             .unwrap_or_else(|| Span::point(self.input_len))
     }
 
-    fn parse_iff(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.parse_implies()?;
-        while matches!(self.peek().map(|l| &l.tok), Some(Tok::Iff)) {
-            self.next();
-            let rhs = self.parse_implies()?;
-            lhs = lhs.iff(rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_implies(&mut self) -> Result<Formula, ParseError> {
-        let lhs = self.parse_or()?;
-        if matches!(self.peek().map(|l| &l.tok), Some(Tok::Implies)) {
-            self.next();
-            let rhs = self.parse_implies()?;
-            return Ok(lhs.implies(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_or(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.parse_and()?;
-        while matches!(self.peek().map(|l| &l.tok), Some(Tok::Or)) {
-            self.next();
-            let rhs = self.parse_and()?;
-            lhs = lhs.or(rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> Result<Formula, ParseError> {
+    /// Parses a formula whose binary connectives all bind at least as
+    /// tightly as `min`: the grammar above by precedence climbing, so a
+    /// parenthesized group costs two stack frames, not one per level of
+    /// precedence.
+    fn parse_binary(&mut self, min: u8) -> Result<Formula, ParseError> {
         let mut lhs = self.parse_unary()?;
-        while matches!(self.peek().map(|l| &l.tok), Some(Tok::And)) {
+        while let Some(&Lexed { tok, span }) = self.peek() {
+            let Some((prec, right_assoc)) = binary(tok) else {
+                break;
+            };
+            if prec < min {
+                break;
+            }
             self.next();
-            let rhs = self.parse_unary()?;
-            lhs = lhs.and(rhs);
+            let rhs = if right_assoc {
+                // Each `->` of a chain nests one level to the right.
+                self.enter(span)?;
+                let rhs = self.parse_binary(prec)?;
+                self.depth -= 1;
+                rhs
+            } else {
+                self.parse_binary(prec + 1)?
+            };
+            lhs = match tok {
+                Tok::Iff => lhs.iff(rhs),
+                Tok::Implies => lhs.implies(rhs),
+                Tok::Or => lhs.or(rhs),
+                _ => lhs.and(rhs),
+            };
         }
         Ok(lhs)
     }
@@ -264,9 +289,16 @@ impl Parser {
     fn parse_unary(&mut self) -> Result<Formula, ParseError> {
         let span = self.here();
         match self.next().map(|l| l.tok) {
-            Some(Tok::Not) => Ok(self.parse_unary()?.not()),
+            Some(Tok::Not) => {
+                self.enter(span)?;
+                let inner = self.parse_unary()?;
+                self.depth -= 1;
+                Ok(inner.not())
+            }
             Some(Tok::LParen) => {
-                let inner = self.parse_iff()?;
+                self.enter(span)?;
+                let inner = self.parse_binary(1)?;
+                self.depth -= 1;
                 let found = self.peek().map(|l| describe(&l.tok));
                 match self.next().map(|l| l.tok) {
                     Some(Tok::RParen) => Ok(inner),
@@ -311,8 +343,9 @@ pub fn parse(input: &str) -> Result<Formula, ParseError> {
         toks,
         pos: 0,
         input_len: input.len(),
+        depth: 0,
     };
-    let f = p.parse_iff()?;
+    let f = p.parse_binary(1)?;
     if let Some(extra) = p.peek() {
         return Err(SyntaxError::with_kind(
             SyntaxErrorKind::TrailingInput,
@@ -401,6 +434,28 @@ mod tests {
         assert!(e.message.contains("end of input"));
         let e = parse("p <- q").unwrap_err();
         assert!(e.message.contains("<->"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        use crate::error::MAX_NESTING;
+        let n = MAX_NESTING;
+        let parens = |n: usize| format!("{}p{}", "(".repeat(n), ")".repeat(n));
+        let nots = |n: usize| format!("{}p", "~".repeat(n));
+        let arrows = |n: usize| format!("{}p", "p -> ".repeat(n));
+        for (make, opener) in [
+            (parens as fn(usize) -> String, n),
+            (nots, n),
+            (arrows, 5 * n + 2),
+        ] {
+            assert!(parse(&make(n)).is_ok());
+            let e = parse(&make(n + 1)).unwrap_err();
+            assert_eq!(e.kind, SyntaxErrorKind::NestingTooDeep);
+            assert_eq!(e.span.start, opener);
+        }
+        // Levels are counted along one path, not in total.
+        let wide = vec![parens(n); 4].join(" & ");
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]
