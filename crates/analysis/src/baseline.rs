@@ -31,7 +31,12 @@ fn tool_structural(argument: &Argument, sink: &mut Sink<'_>) {
 }
 
 fn tool_non_deductive(argument: &Argument, sink: &mut Sink<'_>) {
-    logical::pass_non_deductive(argument, &mut ArgumentTheory::compile(argument), sink);
+    logical::pass_non_deductive(
+        argument,
+        &mut ArgumentTheory::compile(argument),
+        &mut WitnessPool::new(),
+        sink,
+    );
 }
 
 fn tool_inconsistent_premises(argument: &Argument, sink: &mut Sink<'_>) {

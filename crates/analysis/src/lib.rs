@@ -211,6 +211,41 @@ mod tests {
     }
 
     #[test]
+    fn ck106_answers_from_a_pool_that_already_asked_the_step_questions() {
+        // One deductive step (g1) and one that is not (g2).
+        let a = case(
+            r#"argument "steps" {
+                goal g1 "q" formal "q" {
+                  goal g2 "p -> q" formal "p -> q" {
+                    goal g4 "s" formal "s" { solution e1 "log" }
+                  }
+                  goal g3 "p" formal "p" { solution e2 "log" }
+                }
+            }"#,
+        );
+        let mut theory = ArgumentTheory::compile(&a);
+        let mut pool = WitnessPool::new();
+        for idx in theory.step_indices() {
+            let question = theory.step_assumptions(idx).unwrap();
+            pool.check(theory.theory_mut(), &question);
+        }
+        let calls = pool.solver_calls();
+        let decisions = theory.theory_mut().stats().decisions;
+        let config = LintConfig::new();
+        let mut sink = diagnostic::Sink::new(&config);
+        logical::pass_non_deductive(&a, &mut theory, &mut pool, &mut sink);
+        assert_eq!(pool.solver_calls(), calls);
+        assert_eq!(theory.theory_mut().stats().decisions, decisions);
+        let got = sink.finish();
+        let expected: Vec<Diagnostic> = lint_argument(&a, &config)
+            .into_iter()
+            .filter(|d| d.code == LintCode::NonDeductiveStep)
+            .collect();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got, expected);
+    }
+
+    #[test]
     fn clean_case_is_clean_at_deny_level() {
         let diagnostics = lint_argument(&clean_case(), &LintConfig::deny_all());
         assert!(diagnostics.is_empty(), "got: {diagnostics:?}");

@@ -42,7 +42,7 @@ pub(crate) fn run_all_with(
     pool: &mut WitnessPool,
     sink: &mut Sink<'_>,
 ) {
-    pass_non_deductive(argument, theory, sink);
+    pass_non_deductive(argument, theory, pool, sink);
     pass_inconsistent_premises(argument, theory, pool, sink);
     pass_tautological_conclusion(argument, theory, pool, sink);
     pass_unsatisfiable_conclusion(argument, theory, pool, sink);
@@ -62,12 +62,20 @@ fn premise_ids(argument: &Argument, theory: &ArgumentTheory) -> Vec<NodeId> {
 }
 
 /// CK106: formalised steps whose support does not entail the claim.
+/// Each step's question (children asserted, parent denied) goes
+/// through the pool, so a session whose machine check already asked
+/// it answers from the stored witness or UNSAT set.
 pub(crate) fn pass_non_deductive(
     argument: &Argument,
     theory: &mut ArgumentTheory,
+    pool: &mut WitnessPool,
     sink: &mut Sink<'_>,
 ) {
-    for idx in theory.non_deductive_step_indices() {
+    for idx in theory.step_indices() {
+        let assumptions = theory.step_assumptions(idx).expect("a checkable step");
+        if !pool.check(theory.theory_mut(), &assumptions) {
+            continue; // deductive
+        }
         let related: Vec<NodeId> = theory
             .step_children(idx)
             .unwrap_or(&[])
@@ -178,16 +186,15 @@ pub(crate) fn pass_entailment(
     pool: &mut WitnessPool,
     sink: &mut Sink<'_>,
 ) {
-    let (Some(conclusion_lit), Some(conclusion_idx)) =
-        (theory.conclusion_lit(), theory.conclusion_index())
-    else {
+    let (Some(conclusion_idx), Some(assumptions)) = (
+        theory.conclusion_index(),
+        theory.entailment_assumptions(None),
+    ) else {
         return;
     };
-    let mut assumptions = theory.premise_lits();
-    if assumptions.is_empty() {
+    if theory.premise_lits().is_empty() {
         return;
     }
-    assumptions.push(!conclusion_lit);
     if !pool.check(theory.theory_mut(), &assumptions) {
         return; // entailed
     }
@@ -216,43 +223,33 @@ pub(crate) fn pass_redundant_premises(
     sink: &mut Sink<'_>,
 ) {
     let premise_lits = theory.premise_lits();
-    let (Some(conclusion_lit), Some(conclusion_idx)) =
-        (theory.conclusion_lit(), theory.conclusion_index())
-    else {
+    let (Some(conclusion_idx), Some(entailment)) = (
+        theory.conclusion_index(),
+        theory.entailment_assumptions(None),
+    ) else {
         return;
     };
     if premise_lits.is_empty() {
         return;
     }
-    let premise_indices = theory.premise_indices();
-    let session = theory.theory_mut();
-    if !pool.check(session, &premise_lits) {
+    if !pool.check(theory.theory_mut(), &premise_lits) {
         return; // inconsistent: CK101's finding, not a redundancy.
     }
-    let with_denied_conclusion: Vec<Lit> = premise_lits
-        .iter()
-        .copied()
-        .chain([!conclusion_lit])
-        .collect();
-    if pool.check(session, &with_denied_conclusion) {
+    if pool.check(theory.theory_mut(), &entailment) {
         return; // not entailed: CK107's finding.
     }
-    for (i, dropped) in premise_indices.iter().enumerate() {
-        let rest: Vec<Lit> = premise_lits
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, lit)| *lit)
-            .chain([!conclusion_lit])
-            .collect();
-        if !pool.check(session, &rest) {
+    for (i, dropped) in theory.premise_indices().into_iter().enumerate() {
+        let rest = theory
+            .entailment_assumptions(Some(i))
+            .expect("has conclusion");
+        if !pool.check(theory.theory_mut(), &rest) {
             sink.emit(
                 LintCode::RedundantPremise,
-                Some(argument.id_at(*dropped).clone()),
+                Some(argument.id_at(dropped).clone()),
                 vec![argument.id_at(conclusion_idx).clone()],
                 format!(
                     "premise `{}` is idle: the remaining premises already entail the conclusion",
-                    argument.id_at(*dropped)
+                    argument.id_at(dropped)
                 ),
                 Some("drop it, or strengthen the conclusion it was meant to carry".into()),
             );

@@ -297,9 +297,6 @@ pub struct ArgumentTheory {
     /// Formal leaves in sorted-id order, with their payload literals.
     premises: Vec<(NodeIdx, Lit)>,
     conclusion: Option<(NodeIdx, Lit)>,
-    /// Atoms of the premise and conclusion payloads, for counterexample
-    /// valuations.
-    probe_atoms: BTreeSet<Atom>,
 }
 
 impl ArgumentTheory {
@@ -400,34 +397,17 @@ impl ArgumentTheory {
             });
         }
         // Premises (formal leaves, sorted order) and conclusion.
-        let mut probe_atoms = BTreeSet::new();
-        let mut premises = Vec::new();
-        for idx in argument.sorted_indices() {
-            let node = argument.node_at(idx);
-            if !node.is_formalised() || !formalised_support_children(argument, idx).is_empty() {
-                continue;
-            }
-            if let (Some(lit), Some(FormalPayload::Prop(f))) = (lits[idx.index()], &node.formal) {
-                premises.push((idx, lit));
-                probe_atoms.extend(f.atoms());
-            }
-        }
-        let conclusion =
-            argument
-                .sorted_roots_idx()
-                .find_map(|idx| match &argument.node_at(idx).formal {
-                    Some(FormalPayload::Prop(f)) => {
-                        probe_atoms.extend(f.atoms());
-                        lits[idx.index()].map(|lit| (idx, lit))
-                    }
-                    _ => None,
-                });
+        let premises = formal_premise_indices(argument)
+            .into_iter()
+            .filter_map(|idx| lits[idx.index()].map(|lit| (idx, lit)))
+            .collect();
+        let conclusion = formal_conclusion_index(argument)
+            .and_then(|idx| lits[idx.index()].map(|lit| (idx, lit)));
         ArgumentTheory {
             theory,
             steps,
             premises,
             conclusion,
-            probe_atoms,
         }
     }
 
@@ -453,6 +433,7 @@ impl ArgumentTheory {
     /// per-edge questions against this compilation instead of paying a
     /// second Tseitin pass.
     pub fn step_lits(&self, idx: NodeIdx) -> Option<(Lit, &[Lit])> {
+        // Steps are built in arena order, so parents are sorted.
         let i = self.steps.binary_search_by_key(&idx, |s| s.parent).ok()?;
         Some((self.steps[i].parent_lit, &self.steps[i].child_lits))
     }
@@ -488,71 +469,79 @@ impl ArgumentTheory {
     /// Whether the support step into `idx` is deductively valid (`None`
     /// when the step is not checkable).
     pub fn step_is_deductive(&mut self, idx: NodeIdx) -> Option<bool> {
-        // Steps are built in arena order, so parents are sorted.
-        let i = self.steps.binary_search_by_key(&idx, |s| s.parent).ok()?;
-        Some(Self::check_step(&mut self.theory, &self.steps[i]))
+        let assumptions = self.step_assumptions(idx)?;
+        Some(!self.theory.check_under(assumptions))
     }
 
     /// Parents of every non-deductive formalised step, in arena order.
     pub fn non_deductive_step_indices(&mut self) -> Vec<NodeIdx> {
-        let mut out = Vec::new();
-        for i in 0..self.steps.len() {
-            if !Self::check_step(&mut self.theory, &self.steps[i]) {
-                out.push(self.steps[i].parent);
-            }
-        }
-        out
+        self.step_indices()
+            .into_iter()
+            .filter(|&idx| self.step_is_deductive(idx) == Some(false))
+            .collect()
     }
 
-    fn check_step(theory: &mut Theory, step: &Step) -> bool {
-        let assumptions = step.child_lits.iter().copied().chain([!step.parent_lit]);
-        !theory.check_under(assumptions)
+    /// The question behind [`step_is_deductive`](Self::step_is_deductive)
+    /// as an assumption set: every child payload asserted, the parent
+    /// denied. UNSAT means deductive. `None` when the step is not
+    /// checkable.
+    pub fn step_assumptions(&self, idx: NodeIdx) -> Option<Vec<Lit>> {
+        let (parent_lit, child_lits) = self.step_lits(idx)?;
+        Some(child_lits.iter().copied().chain([!parent_lit]).collect())
+    }
+
+    /// The entailment question as an assumption set: every premise but
+    /// the one at position `skip` asserted, the conclusion denied.
+    /// UNSAT means entailed. `None` when there is no conclusion.
+    pub fn entailment_assumptions(&self, skip: Option<usize>) -> Option<Vec<Lit>> {
+        let (_, conclusion_lit) = self.conclusion?;
+        let mut assumptions = self.premise_lits();
+        if let Some(i) = skip {
+            assumptions.remove(i);
+        }
+        assumptions.push(!conclusion_lit);
+        Some(assumptions)
     }
 
     /// Whether the formal premises entail the formal conclusion (`None`
-    /// when the argument lacks premises or a conclusion).
+    /// when the argument lacks premises or a conclusion). One
+    /// satisfiability check; builds no valuation.
     pub fn root_entailed(&mut self) -> Option<bool> {
         if self.premises.is_empty() {
             return None;
         }
-        self.conclusion?;
-        Some(self.root_counterexample(None).is_none())
+        let assumptions = self.entailment_assumptions(None)?;
+        Some(!self.theory.check_under(assumptions))
     }
 
-    /// A model of the premises (minus `skip`) that falsifies the
-    /// conclusion, if entailment fails.
-    fn root_counterexample(
-        &mut self,
-        skip: Option<usize>,
-    ) -> Option<casekit_logic::prop::Valuation> {
-        let (_, conclusion_lit) = self.conclusion.expect("caller checked conclusion");
-        let assumptions: Vec<Lit> = self
-            .premises
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| Some(*i) != skip)
-            .map(|(_, &(_, lit))| lit)
-            .chain([!conclusion_lit])
-            .collect();
-        self.theory
-            .model_under(assumptions, self.probe_atoms.iter())
-    }
-
-    /// Rushby's what-if probe over the formal skeleton: the root
+    /// Rushby's what-if probe over the formal skeleton of `argument`
+    /// (the argument this session was compiled from): the root
     /// entailment check plus one removal check per premise, all in this
-    /// session. `None` when there is no formal conclusion.
-    pub fn probe(&mut self) -> Option<ProbeReport> {
-        self.conclusion?;
-        if self.root_counterexample(None).is_some() {
+    /// session. Each critical premise carries a counterexample
+    /// [`Valuation`](casekit_logic::prop::Valuation) over the premise
+    /// and conclusion atoms, so this is the one question here that
+    /// builds valuations. `None` when there is no formal conclusion.
+    pub fn probe(&mut self, argument: &Argument) -> Option<ProbeReport> {
+        if self.theory.check_under(self.entailment_assumptions(None)?) {
             return Some(ProbeReport {
                 entailed: false,
                 impacts: Vec::new(),
             });
         }
+        let atoms: BTreeSet<Atom> = formal_premises(argument)
+            .into_iter()
+            .chain(formal_conclusion(argument))
+            .flat_map(Formula::atoms)
+            .collect();
         let impacts = (0..self.premises.len())
-            .map(|i| match self.root_counterexample(Some(i)) {
-                None => PremiseImpact::Idle,
-                Some(v) => PremiseImpact::Critical(v),
+            .map(|i| {
+                let assumptions = self
+                    .entailment_assumptions(Some(i))
+                    .expect("has conclusion");
+                match self.theory.model_under(assumptions, &atoms) {
+                    None => PremiseImpact::Idle,
+                    Some(v) => PremiseImpact::Critical(v),
+                }
             })
             .collect();
         Some(ProbeReport {
@@ -655,7 +644,7 @@ pub fn non_deductive_steps(argument: &Argument) -> Vec<NodeId> {
 /// Returns `None` when the argument has no formal conclusion. One theory
 /// compilation, `premises + 1` solver checks.
 pub fn probe_argument(argument: &Argument) -> Option<ProbeReport> {
-    ArgumentTheory::compile(argument).probe()
+    ArgumentTheory::compile(argument).probe(argument)
 }
 
 #[cfg(test)]
@@ -713,7 +702,7 @@ mod tests {
         assert_eq!(theory.root_entailed(), Some(true));
         assert_eq!(theory.premise_indices().len(), 2);
         assert_eq!(theory.conclusion_index(), Some(g1));
-        let report = theory.probe().unwrap();
+        let report = theory.probe(&a).unwrap();
         assert!(report.entailed);
         assert_eq!(report.critical_indices(), vec![0, 1]);
         // Answers are stable across repeated questions (assumptions are
@@ -849,7 +838,7 @@ mod tests {
         let mut s2 = cache.session(0);
         assert_eq!(s1.root_entailed(), Some(true));
         assert_eq!(s2.root_entailed(), Some(true));
-        assert_eq!(s1.probe().unwrap().critical_indices(), vec![0, 1]);
+        assert_eq!(s1.probe(&a).unwrap().critical_indices(), vec![0, 1]);
     }
 
     #[test]
@@ -912,9 +901,9 @@ mod tests {
         assert_eq!(stats.fresh_payloads, 1);
         assert_eq!(inc.root_entailed(), Some(true));
         assert_eq!(
-            inc.probe().unwrap().critical_indices(),
+            inc.probe(&a).unwrap().critical_indices(),
             ArgumentTheory::compile(&a)
-                .probe()
+                .probe(&a)
                 .unwrap()
                 .critical_indices()
         );

@@ -95,7 +95,11 @@ impl From<ArgumentError> for EditError {
 /// valid) counterexample valuations for a critical premise, so the
 /// service answers with the classification — entailment plus the
 /// critical/idle partition in premise order — which is the part the
-/// solver's model choices cannot perturb.
+/// solver's model choices cannot perturb. The classification needs no
+/// model: a session answers it from satisfiability checks asked once
+/// through its witness pool (the same questions as CK107 and CK104),
+/// while [`batch_answers`](crate::batch_answers) converts a full
+/// [`ProbeReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeAnswer {
     /// Whether the full premise set entails the conclusion.

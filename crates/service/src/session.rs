@@ -37,6 +37,10 @@ pub struct SessionStats {
     pub steps_reused: u64,
     /// Queries answered entirely from the cached answer bundle.
     pub cached_answers: u64,
+    /// Solver calls the session's witness pool actually paid.
+    pub solver_calls: u64,
+    /// Pooled questions answered from a stored witness or UNSAT set.
+    pub pool_hits: u64,
 }
 
 /// A long-lived session over one case.
@@ -90,7 +94,11 @@ impl CaseSession {
 
     /// Lifetime counters for this session.
     pub fn stats(&self) -> SessionStats {
-        self.stats
+        SessionStats {
+            solver_calls: self.pool.solver_calls() as u64,
+            pool_hits: self.pool.witness_hits() as u64,
+            ..self.stats
+        }
     }
 
     /// Applies one edit.
@@ -197,7 +205,8 @@ impl CaseSession {
     }
 
     /// The batched answers for the current revision: machine check,
-    /// lint stream, probe classification. Cached until the next edit.
+    /// lint stream, probe classification, in that order, all asking
+    /// through one witness pool. Cached until the next edit.
     pub fn answers(&mut self) -> CaseAnswers {
         self.stats.queries += 1;
         if let Some(answers) = &self.answers {
@@ -211,7 +220,7 @@ impl CaseSession {
             .as_mut()
             .expect("flush leaves a live compilation");
         let lint = lint_compiled_with_pool(&self.argument, theory, &mut self.pool, &self.config);
-        let probe = theory.probe().map(|report| ProbeAnswer::from(&report));
+        let probe = pooled_probe(theory, &mut self.pool);
         let answers = CaseAnswers {
             machine,
             lint,
@@ -277,9 +286,10 @@ impl CaseSession {
 
     /// The machine report over the live session, finding-for-finding
     /// identical to [`check_argument`] on the current revision: step
-    /// verdicts come from the dirty-tracked cache (only dirtied steps
-    /// pay a solver call), root entailment runs on the warm solver, and
-    /// the fallacy detectors answer through the witness pool.
+    /// verdicts come from the dirty-tracked cache, and every question
+    /// left (dirtied steps, root entailment, the fallacy detectors) is
+    /// asked through the witness pool, where the lint and the probe
+    /// find it again.
     fn compute_machine(&mut self) -> MachineReport {
         let theory = self
             .theory
@@ -295,9 +305,10 @@ impl CaseSession {
                 self.stats.steps_reused += 1;
                 verdict
             } else {
-                let verdict = theory
-                    .step_is_deductive(idx)
+                let assumptions = theory
+                    .step_assumptions(idx)
                     .expect("step_indices yields only checkable steps");
+                let verdict = !self.pool.check(theory.theory_mut(), &assumptions);
                 self.stats.steps_checked += 1;
                 self.step_verdicts.insert(id.clone(), verdict);
                 verdict
@@ -312,7 +323,8 @@ impl CaseSession {
         };
         if let Some(conclusion) = conclusion {
             if !premises.is_empty() {
-                if theory.root_entailed() == Some(false) {
+                let entailment = theory.entailment_assumptions(None).expect("has conclusion");
+                if self.pool.check(theory.theory_mut(), &entailment) {
                     findings.push(MachineFinding::ConclusionNotEntailed);
                 }
                 let premise_lits = theory.premise_lits();
@@ -339,6 +351,29 @@ impl CaseSession {
             checkable,
         }
     }
+}
+
+/// The probe classification asked through `pool`: the entailment
+/// question, then one drop-probe per premise. On a consistent case the
+/// machine check already asked the first and CK104 the rest, so all of
+/// them are pool hits; no model is extracted.
+fn pooled_probe(theory: &mut ArgumentTheory, pool: &mut WitnessPool) -> Option<ProbeAnswer> {
+    let premises = theory.premise_lits().len();
+    let mut sat = |skip| {
+        let question = theory.entailment_assumptions(skip)?;
+        Some(pool.check(theory.theory_mut(), &question))
+    };
+    let entailed = !sat(None)?;
+    let (critical, idle) = if entailed {
+        (0..premises).partition(|&i| sat(Some(i)) == Some(true))
+    } else {
+        Default::default()
+    };
+    Some(ProbeAnswer {
+        entailed,
+        critical,
+        idle,
+    })
 }
 
 /// The honest from-scratch answer bundle: parse nothing, reuse nothing
@@ -375,4 +410,99 @@ pub fn batch_transcript(
             crate::CaseOp::Query => Some(batch_answers(shadow.argument(), config)),
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use casekit_core::dsl::parse_argument;
+
+    /// Modus ponens: consistent premises that entail the conclusion.
+    fn entailed_case() -> Argument {
+        parse_argument(
+            r#"argument "mp" {
+                goal g1 "q holds" formal "q" {
+                  goal g2 "the rule" formal "p -> q" { solution e1 "review" }
+                  goal g3 "the fact" formal "p" { solution e2 "measurement" }
+                  goal g4 "an idle fact" formal "r" { solution e3 "log" }
+                }
+            }"#,
+        )
+        .unwrap()
+    }
+
+    /// Solver work paid so far: the calls the pool paid, and the
+    /// solver's branching decisions (a question that bypasses the pool
+    /// still branches on its assumptions).
+    fn work(session: &mut CaseSession) -> (usize, u64) {
+        let decisions = session
+            .theory
+            .as_mut()
+            .map_or(0, |t| t.theory_mut().stats().decisions);
+        (session.pool.solver_calls(), decisions)
+    }
+
+    fn lint(session: &mut CaseSession) -> Vec<casekit_analysis::Diagnostic> {
+        let theory = session.theory.as_mut().expect("flushed");
+        lint_compiled_with_pool(
+            &session.argument,
+            theory,
+            &mut session.pool,
+            &session.config,
+        )
+    }
+
+    #[test]
+    fn the_machine_check_stores_every_step_question_for_ck106() {
+        let mut session = CaseSession::open(entailed_case(), LintConfig::new());
+        session.flush();
+        session.compute_machine();
+        let after_machine = work(&mut session);
+        let theory = session.theory.as_mut().unwrap();
+        for idx in theory.step_indices() {
+            let question = theory.step_assumptions(idx).unwrap();
+            assert!(!session.pool.check(theory.theory_mut(), &question));
+        }
+        assert_eq!(work(&mut session), after_machine);
+        // The lint's own CK106 run goes through the pool too: once the
+        // revision is answered, a second lint run does no solver work.
+        let first = lint(&mut session);
+        let after_lint = work(&mut session);
+        assert_eq!(lint(&mut session), first);
+        assert_eq!(work(&mut session), after_lint);
+    }
+
+    #[test]
+    fn the_probe_adds_no_solver_calls_after_the_lint() {
+        let argument = entailed_case();
+        let mut session = CaseSession::open(argument.clone(), LintConfig::new());
+        session.flush();
+        session.compute_machine();
+        lint(&mut session);
+        let after_lint = work(&mut session);
+        let probe = pooled_probe(session.theory.as_mut().unwrap(), &mut session.pool);
+        assert_eq!(work(&mut session), after_lint);
+        let expected = probe_argument(&argument).as_ref().map(ProbeAnswer::from);
+        assert_eq!(probe, expected);
+        assert_eq!(probe.unwrap().idle, vec![2]);
+    }
+
+    #[test]
+    fn a_text_edit_is_answered_without_solver_calls() {
+        let mut session = CaseSession::open(entailed_case(), LintConfig::new());
+        let before = session.answers();
+        let calls = session.stats().solver_calls;
+        let decisions = work(&mut session).1;
+        session
+            .set_text(&"g1".into(), "All outputs are checked".into())
+            .unwrap();
+        let after = session.answers();
+        assert_eq!(after.machine, before.machine);
+        assert_eq!(after.probe, before.probe);
+        assert_eq!(after, batch_answers(session.argument(), &LintConfig::new()));
+        let stats = session.stats();
+        assert_eq!(stats.solver_calls, calls);
+        assert!(stats.pool_hits > 0, "stats: {stats:?}");
+        assert_eq!(work(&mut session).1, decisions);
+    }
 }

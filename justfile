@@ -6,9 +6,9 @@ check:
     ./scripts/check.sh
 
 # Mirror the CI pipeline locally, in job order: fmt, clippy, rustdoc
-# with warnings denied, release build + tests, a 1 s end-to-end
-# benchmark run that must report `"correct": true`, the deny-level example
-# lint, then the smoke bench-regression gate.
+# with warnings denied, release build + tests, 1 s end-to-end
+# benchmark runs (ingest and edit) that must report `"correct": true`,
+# the deny-level example lint, then the smoke bench-regression gate.
 ci:
     cargo fmt --all --check
     cargo clippy --workspace --all-targets -- -D warnings
@@ -16,6 +16,7 @@ ci:
     cargo build --release
     cargo test -q
     cargo run --quiet --release --offline --locked --manifest-path perfbench/Cargo.toml -- --workload ingest --seed 1 --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct": true'
+    cargo run --quiet --release --offline --locked --manifest-path perfbench/Cargo.toml -- --workload edit --seed 1 --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct": true'
     cargo run --release -q -p casekit-analysis --bin caselint -- --deny examples/cases/*.case
     ./scripts/bench_gate.sh
 
