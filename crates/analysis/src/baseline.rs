@@ -182,7 +182,9 @@ pub fn lint_argument_recompiling(argument: &Argument, config: &LintConfig) -> Ve
     sink.finish()
 }
 
-/// [`crate::lint_source`], paid the expensive way: every tool re-parses
+/// [`crate::lint_argument`] over a strict
+/// [`parse_argument`] of `src`, paid
+/// the expensive way: every tool re-parses
 /// the case text *and* recompiles its own session — the cost model of
 /// running fifteen separate command-line checkers over one `.case`
 /// file.

@@ -15,7 +15,9 @@
 //! error severity is emitted, 0 otherwise.
 //!
 //! `--deny` promotes every lint to deny level (any diagnostic is an
-//! error) — the mode CI uses over the example corpus. `--list` prints
+//! error) — the mode CI uses over the example corpus. `--allow` and
+//! `--level` override single codes on top of it, in either order.
+//! Directory walks do not follow symlinked directories. `--list` prints
 //! the lint registry and exits.
 
 #![forbid(unsafe_code)]
@@ -49,7 +51,8 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<bool, String> {
-    let mut config = LintConfig::new();
+    let mut deny = false;
+    let mut overrides: Vec<(LintCode, Level)> = Vec::new();
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -66,11 +69,11 @@ fn run(args: &[String]) -> Result<bool, String> {
                 }
                 return Ok(true);
             }
-            "--deny" => config = LintConfig::deny_all(),
+            "--deny" => deny = true,
             "--allow" => {
                 let code = iter.next().ok_or("--allow needs a lint code")?;
                 let code = LintCode::parse(code).ok_or_else(|| format!("unknown lint `{code}`"))?;
-                config.set(code, Level::Allow);
+                overrides.push((code, Level::Allow));
             }
             "--level" => {
                 let spec = iter.next().ok_or("--level needs CODE=LEVEL")?;
@@ -79,7 +82,7 @@ fn run(args: &[String]) -> Result<bool, String> {
                     .ok_or_else(|| format!("bad --level spec `{spec}` (want CODE=LEVEL)"))?;
                 let code = LintCode::parse(code).ok_or_else(|| format!("unknown lint `{code}`"))?;
                 let level: Level = level.parse().map_err(|e: String| e)?;
-                config.set(code, level);
+                overrides.push((code, level));
             }
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag `{other}`"));
@@ -89,6 +92,15 @@ fn run(args: &[String]) -> Result<bool, String> {
     }
     if paths.is_empty() {
         return Err("no input files".into());
+    }
+    // Per-code overrides win over `--deny`, wherever they appear.
+    let mut config = if deny {
+        LintConfig::deny_all()
+    } else {
+        LintConfig::new()
+    };
+    for (code, level) in overrides {
+        config.set(code, level);
     }
 
     let mut files: Vec<PathBuf> = Vec::new();
@@ -130,17 +142,23 @@ fn run(args: &[String]) -> Result<bool, String> {
 }
 
 /// Pushes `path` if it is a `.case` file, or every `.case` file under it
-/// (recursively, sorted for determinism) if it is a directory.
+/// (recursively, sorted for determinism) if it is a directory. Symlinked
+/// directories inside the walk are skipped, so a link cycle cannot
+/// repeat files.
 fn collect_cases(path: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let meta = std::fs::metadata(path).map_err(|e| format!("{}: {e}", path.display()))?;
     if meta.is_dir() {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(path)
+        let mut entries: Vec<(PathBuf, bool)> = std::fs::read_dir(path)
             .map_err(|e| format!("{}: {e}", path.display()))?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
+            .filter_map(|entry| {
+                let entry = entry.ok()?;
+                let real_dir = entry.file_type().ok()?.is_dir();
+                Some((entry.path(), real_dir))
+            })
             .collect();
         entries.sort();
-        for entry in entries {
-            if entry.is_dir() || entry.extension().is_some_and(|ext| ext == "case") {
+        for (entry, real_dir) in entries {
+            if real_dir || (!entry.is_dir() && entry.extension().is_some_and(|ext| ext == "case")) {
                 collect_cases(&entry, out)?;
             }
         }

@@ -37,13 +37,14 @@
 //!
 //! # Corpus scale
 //!
-//! [`lint_source`] parses a `.case` text once and lints the built
-//! argument; [`lint_sources`] farms a whole corpus of source texts
-//! across `casekit-runtime` worker threads. [`lint_sweep`] does the
-//! same for already-built arguments, and [`lint_sweep_cached`] reuses
-//! compilations from a [`TheoryCache`]. All are worker-count
-//! invariant: the per-argument lint is a pure function, and
-//! [`Runtime::map`] is order-preserving. The one-tool-per-lint cost
+//! The pipeline has one public function per stage: [`check_syntax`]
+//! parses (recovering, `CK2xx`), [`ArgumentTheory::compile`] compiles,
+//! and [`lint_compiled_with_pool`] lints. [`check_source`] composes the
+//! three for one text, [`lint_argument`] the last two for a built
+//! argument. A corpus is a [`Runtime::map`](casekit_runtime::Runtime::map)
+//! over one of these at the call site; the output is worker-count
+//! invariant because every stage is a pure function of its input and
+//! `map` is order-preserving. The one-tool-per-lint cost
 //! model — fifteen standalone checkers, each re-parsing the source and
 //! recompiling its own solver session — lives in [`baseline`] and is
 //! measured against the engine in `BENCH_lint.json` (`repro lint`).
@@ -72,73 +73,28 @@ mod structural;
 mod witness;
 
 pub use diagnostic::{Diagnostic, Level, LintCode, LintConfig, LintDescriptor, PassKind, Severity};
-pub use source::{check_source, check_sources, check_syntax, excerpt, SourceAnalysis};
+pub use source::{check_source, check_syntax, excerpt, SourceAnalysis};
 pub use witness::WitnessPool;
 
-use casekit_core::dsl::parse_argument;
-use casekit_core::semantics::{ArgumentTheory, TheoryCache};
+use casekit_core::semantics::ArgumentTheory;
 use casekit_core::Argument;
-use casekit_logic::ParseError;
-use casekit_runtime::Runtime;
 
 /// Lints one argument: compiles its propositional payloads once, then
 /// runs every structural, logical, and fallacy pass. Diagnostics come
 /// back in canonical order (code, then primary node id, then message).
 pub fn lint_argument(argument: &Argument, config: &LintConfig) -> Vec<Diagnostic> {
     let mut theory = ArgumentTheory::compile(argument);
-    lint_compiled(argument, &mut theory, config)
+    lint_compiled_with_pool(argument, &mut theory, &mut WitnessPool::new(), config)
 }
 
-/// Lints case text end to end: one parse, one compilation, every pass —
-/// the whole front of the `caselint` pipeline as a library call.
-///
-/// # Errors
-///
-/// Returns the [`ParseError`] if `src` is not a well-formed case.
-pub fn lint_source(src: &str, config: &LintConfig) -> Result<Vec<Diagnostic>, ParseError> {
-    let argument = parse_argument(src)?;
-    Ok(lint_argument(&argument, config))
-}
-
-/// [`lint_source`] over a corpus, sharded across the runtime's workers
-/// (each source parsed and compiled exactly once). Output is
-/// index-aligned with `sources`; the first parse error, if any, wins.
-///
-/// # Errors
-///
-/// Returns the [`ParseError`] of the lowest-index malformed source.
-pub fn lint_sources(
-    sources: &[String],
-    config: &LintConfig,
-    runtime: &Runtime,
-) -> Result<Vec<Vec<Diagnostic>>, ParseError> {
-    runtime
-        .map(sources, |_, src| lint_source(src, config))
-        .into_iter()
-        .collect()
-}
-
-/// [`lint_argument`] against an already-compiled session (fresh from
-/// [`ArgumentTheory::compile`] or cloned out of a [`TheoryCache`]).
-/// Passes retract every assumption they push, so one session serves
-/// any number of lint runs.
-pub fn lint_compiled(
-    argument: &Argument,
-    theory: &mut ArgumentTheory,
-    config: &LintConfig,
-) -> Vec<Diagnostic> {
-    let mut sink = diagnostic::Sink::new(config);
-    structural::run(argument, &mut sink);
-    logical::run_all(argument, theory, &mut sink);
-    sink.finish()
-}
-
-/// [`lint_compiled`] against a caller-owned [`WitnessPool`]. Long-lived
+/// [`lint_argument`] against an already-compiled session and a
+/// caller-owned [`WitnessPool`]. Passes retract every assumption they
+/// push, so one session serves any number of lint runs. Long-lived
 /// sessions — the incremental `CaseService` — keep one pool per case so
 /// models found answering one revision's questions keep answering the
 /// next revision's (sound whenever the session's clause database only
 /// grows between calls). The pool is answer-invariant: warm or cold,
-/// diagnostics are byte-identical to [`lint_compiled`].
+/// diagnostics are byte-identical to [`lint_argument`].
 pub fn lint_compiled_with_pool(
     argument: &Argument,
     theory: &mut ArgumentTheory,
@@ -149,42 +105,6 @@ pub fn lint_compiled_with_pool(
     structural::run(argument, &mut sink);
     logical::run_all_with(argument, theory, pool, &mut sink);
     sink.finish()
-}
-
-/// Lints a corpus, one compilation per argument, sharded across the
-/// runtime's workers. Output is index-aligned with `arguments` and
-/// byte-identical at any worker count (the per-item lint is pure and
-/// [`Runtime::map`] preserves order).
-pub fn lint_sweep(
-    arguments: &[Argument],
-    config: &LintConfig,
-    runtime: &Runtime,
-) -> Vec<Vec<Diagnostic>> {
-    runtime.map(arguments, |_, argument| lint_argument(argument, config))
-}
-
-/// [`lint_sweep`] against compilations already paid for: each worker
-/// clones a private session from the cache instead of recompiling.
-///
-/// # Panics
-///
-/// Panics if `cache` was not built over exactly this `arguments` slice
-/// (same length, same order).
-pub fn lint_sweep_cached(
-    arguments: &[Argument],
-    cache: &TheoryCache,
-    config: &LintConfig,
-    runtime: &Runtime,
-) -> Vec<Vec<Diagnostic>> {
-    assert_eq!(
-        arguments.len(),
-        cache.len(),
-        "theory cache must cover the argument corpus"
-    );
-    runtime.map(arguments, |i, argument| {
-        let mut session = cache.session(i);
-        lint_compiled(argument, &mut session, config)
-    })
 }
 
 #[cfg(test)]
@@ -505,6 +425,7 @@ mod tests {
 
     #[test]
     fn sweep_matches_per_argument_lint_and_cached_sweep() {
+        use casekit_runtime::Runtime;
         let arguments: Vec<Argument> = vec![
             clean_case(),
             case(
@@ -523,12 +444,8 @@ mod tests {
             .collect();
         for workers in [1, 2, 4] {
             let runtime = Runtime::with_workers(workers);
-            assert_eq!(lint_sweep(&arguments, &config, &runtime), serial);
-            let cache = TheoryCache::compile(&arguments);
-            assert_eq!(
-                lint_sweep_cached(&arguments, &cache, &config, &runtime),
-                serial
-            );
+            let swept = runtime.map(&arguments, |_, a| lint_argument(a, &config));
+            assert_eq!(swept, serial, "workers={workers}");
         }
     }
 }

@@ -5,7 +5,7 @@
 //! Every pass is written against `&mut ArgumentTheory` and is
 //! self-contained (it re-derives its own gating facts, e.g. premise
 //! consistency, with cheap assumption rounds) so the compile-once
-//! engine ([`crate::lint_compiled`]) and the recompile-per-lint
+//! engine ([`crate::lint_compiled_with_pool`]) and the recompile-per-lint
 //! baseline ([`crate::baseline::lint_argument_recompiling`]) can run
 //! the *same* pass bodies and differ only in how many Tseitin
 //! compilations they pay. Assumption rounds always retract fully
@@ -22,20 +22,13 @@ use casekit_fallacies::{formal, informal};
 use casekit_logic::prop::Lit;
 
 /// Runs every logical and fallacy pass against one shared session —
-/// and one shared [`WitnessPool`], so a model found answering one
-/// pass's satisfiability question gets reused by every later pass
+/// and one caller-owned [`WitnessPool`], so a model found answering one
+/// pass's satisfiability question gets reused by every later pass, and
+/// a long-lived session's pool (the incremental service) keeps serving
+/// later lint runs. Answer-invariant with respect to the pool's
+/// contents, so warm and cold pools produce byte-identical diagnostics
 /// (the recompiling baseline starts a fresh pool per pass, because its
 /// per-tool sessions share nothing).
-pub(crate) fn run_all(argument: &Argument, theory: &mut ArgumentTheory, sink: &mut Sink<'_>) {
-    let mut pool = WitnessPool::new();
-    run_all_with(argument, theory, &mut pool, sink);
-}
-
-/// [`run_all`] against a caller-owned [`WitnessPool`] — the entry point
-/// for long-lived sessions (the incremental service) whose pool
-/// outlives any single lint run. Answer-invariant with respect to the
-/// pool's contents, so warm and cold pools produce byte-identical
-/// diagnostics.
 pub(crate) fn run_all_with(
     argument: &Argument,
     theory: &mut ArgumentTheory,

@@ -1,11 +1,11 @@
 //! Source-plane analysis: the recovering DSL frontend routed into the
 //! diagnostic substrate.
 //!
-//! [`check_source`] is the span-carrying sibling of
-//! [`lint_source`](crate::lint_source): instead of aborting on the
-//! first parse error it runs the error-recovering parser, converts
-//! every syntax error into a `CK2xx` [`Diagnostic`] with its byte span,
-//! and — when an argument could still be recovered — runs the full
+//! [`check_source`] is the one text-to-diagnostics route: instead of
+//! aborting on the first parse error it runs the error-recovering
+//! parser, converts every syntax error into a `CK2xx` [`Diagnostic`]
+//! with its byte span, and — when an argument could still be
+//! recovered — runs the full
 //! graph/solver lint set over it, anchoring each graph finding to its
 //! node's declaration span through the parser's
 //! [`SourceMap`](casekit_core::dsl::SourceMap). One call, one uniform
@@ -15,7 +15,6 @@ use crate::diagnostic::{Diagnostic, LintCode, LintConfig, Sink};
 use casekit_core::dsl::{parse_argument_recovering, SourceMap};
 use casekit_core::Argument;
 use casekit_logic::{LineIndex, Span, SyntaxErrorKind};
-use casekit_runtime::Runtime;
 
 /// Everything the source-plane pipeline recovers from one `.case` text:
 /// the argument (when enough of the file parsed to build one), the span
@@ -96,8 +95,8 @@ pub fn check_source(src: &str, config: &LintConfig) -> SourceAnalysis {
 
 /// The syntax half of [`check_source`]: runs the recovering parser and
 /// converts its errors into `CK2xx` diagnostics, but does **not** lint
-/// the recovered argument. This is the corpus-ingestion fast path — the
-/// service's `CorpusLoader` uses it to shard parsing across workers
+/// the recovered argument. This is the corpus-ingestion fast path:
+/// `Runtime::map` it over a corpus to shard parsing across workers
 /// without paying for a solver session per file.
 pub fn check_syntax(src: &str, config: &LintConfig) -> SourceAnalysis {
     let outcome = parse_argument_recovering(src);
@@ -129,18 +128,6 @@ fn anchor(diagnostic: &Diagnostic, map: &SourceMap) -> Span {
         .map(|spans| spans.id)
         .or(map.name)
         .unwrap_or(Span::point(0))
-}
-
-/// [`check_source`] over a corpus, sharded across the runtime's
-/// workers. Output is index-aligned with `sources` and byte-identical
-/// at any worker count: the per-file analysis is a pure function and
-/// [`Runtime::map`] preserves order.
-pub fn check_sources(
-    sources: &[String],
-    config: &LintConfig,
-    runtime: &Runtime,
-) -> Vec<SourceAnalysis> {
-    runtime.map(sources, |_, src| check_source(src, config))
 }
 
 /// Renders a two-line caret excerpt for `span`: the source line it
@@ -252,13 +239,15 @@ mod tests {
 
     #[test]
     fn sharded_corpus_is_worker_invariant() {
-        let sources: Vec<String> = (0..24)
-            .map(|i| {
-                if i % 3 == 0 {
-                    format!("argument \"c{i}\" {{\n  gaol g1 \"typo\"\n  goal g2 \"ok\" {{ solution e1 \"x\" }}\n}}\n")
-                } else {
-                    format!("argument \"c{i}\" {{\n  goal g1 \"top\" {{ solution e1 \"x\" }}\n}}\n")
-                }
+        use casekit_runtime::Runtime;
+        let sources: Vec<String> = (0..32)
+            .map(|i| match i % 4 {
+                0 => format!(
+                    "argument \"c{i}\" {{\n  goal g1 \"top\" {{ solution e1 \"log {i}\" }}\n}}\n"
+                ),
+                1 => format!("argument \"c{i}\" {{\n  gaol g1 \"typo\"\n  goal g2 \"ok\" {{ solution e1 \"x\" }}\n}}\n"),
+                2 => format!("argument \"c{i}\" {{\n  gaol g1 \"typo\"\n  goal g2 \"ok\" \n}}\n"),
+                _ => format!("argument \"c{i}\" {{\n  goal g1 \"unterminated {i}\n"),
             })
             .collect();
         let config = LintConfig::new();
@@ -266,14 +255,33 @@ mod tests {
             .iter()
             .map(|s| check_source(s, &config).diagnostics)
             .collect();
-        for workers in [1, 2, 4] {
-            let runtime = Runtime::with_workers(workers);
-            let sharded: Vec<Vec<Diagnostic>> = check_sources(&sources, &config, &runtime)
-                .into_iter()
-                .map(|a| a.diagnostics)
-                .collect();
-            assert_eq!(sharded, serial, "workers={workers}");
+        // The syntax-only ingestion path recovers every defect class.
+        let loaded = Runtime::serial().map(&sources, |_, s| check_syntax(s, &config));
+        for (i, analysis) in loaded.iter().enumerate() {
+            let has = |code| analysis.diagnostics.iter().any(|d| d.code == code);
+            match i % 4 {
+                0 => assert!(analysis.is_clean() && analysis.argument.is_some()),
+                1 | 2 => {
+                    assert!(analysis.argument.is_some(), "typo file still recovers");
+                    assert!(has(LintCode::UnknownKeyword));
+                }
+                _ => assert!(has(LintCode::UnterminatedString)),
+            }
         }
+        let loaded: Vec<Vec<Diagnostic>> = loaded.into_iter().map(|a| a.diagnostics).collect();
+        for workers in [1, 2, 4, 8] {
+            let runtime = Runtime::with_workers(workers);
+            let sharded: Vec<Vec<Diagnostic>> =
+                runtime.map(&sources, |_, s| check_source(s, &config).diagnostics);
+            assert_eq!(sharded, serial, "workers={workers}");
+            let syntax: Vec<Vec<Diagnostic>> =
+                runtime.map(&sources, |_, s| check_syntax(s, &config).diagnostics);
+            assert_eq!(syntax, loaded, "check_syntax, workers={workers}");
+        }
+        // Allowing every code silences the syntax path entirely.
+        let allow = LintConfig::allow_all();
+        let silent = Runtime::with_workers(2).map(&sources, |_, s| check_syntax(s, &allow));
+        assert!(silent.iter().all(SourceAnalysis::is_clean));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the lint engine.
 //!
-//! Two invariants ride on randomly generated assurance cases:
+//! Three invariants ride on randomly generated assurance cases:
 //!
 //! 1. **Determinism.** The diagnostic stream for a corpus is identical
 //!    across repeated runs and across every runtime worker count — the
@@ -10,11 +10,16 @@
 //!    oracle that enumerates premise subsets with the formula-level
 //!    truth-table/DPLL check, gated exactly as the pass documents:
 //!    only consistent, entailed steps are examined for idle premises.
+//! 3. **Support-cycle differential.** CK002 names exactly the classes
+//!    of mutually reachable nodes over the support edges of a random
+//!    graph, checked against a transitive-closure oracle.
 
-use casekit_analysis::{lint_source, lint_sources, LintCode, LintConfig};
+use casekit_analysis::{check_source, lint_argument, Diagnostic, LintCode, LintConfig, PassKind};
+use casekit_core::{Argument, EdgeKind, NodeKind};
 use casekit_logic::prop::Formula;
 use casekit_runtime::Runtime;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Arbitrary propositional formulas over a small atom alphabet, kept
 /// shallow so each lint run stays microseconds-scale.
@@ -109,8 +114,10 @@ proptest! {
     fn redundant_premise_lint_matches_naive_oracle(case in case_strategy()) {
         let (premises, conclusion) = case;
         let src = render_case(&premises, &conclusion);
-        let diagnostics = lint_source(&src, &LintConfig::new()).expect("rendered case parses");
-        let mut flagged: Vec<usize> = diagnostics
+        let analysis = check_source(&src, &LintConfig::new());
+        prop_assert!(analysis.argument.is_some(), "rendered case parses");
+        let mut flagged: Vec<usize> = analysis
+            .diagnostics
             .iter()
             .filter(|d| d.code == LintCode::RedundantPremise)
             .map(|d| {
@@ -140,17 +147,92 @@ proptest! {
             .map(|(premises, conclusion)| render_case(premises, conclusion))
             .collect();
         let config = LintConfig::new();
-        let reference = lint_sources(&sources, &config, &Runtime::serial())
-            .expect("rendered corpus parses");
+        let lint = |runtime: Runtime| -> Vec<Vec<Diagnostic>> {
+            runtime.map(&sources, |_, src| check_source(src, &config).diagnostics)
+        };
+        let reference = lint(Runtime::serial());
+        prop_assert!(
+            reference
+                .iter()
+                .flatten()
+                .all(|d| d.code.descriptor().pass != PassKind::Syntax),
+            "rendered corpus parses"
+        );
         // Repeated serial run: pure determinism.
-        let again = lint_sources(&sources, &config, &Runtime::serial())
-            .expect("rendered corpus parses");
-        prop_assert_eq!(&reference, &again);
+        prop_assert_eq!(&reference, &lint(Runtime::serial()));
         // Any worker count: scheduling must not reorder or change anything.
-        for workers in [2, 3, 5] {
-            let parallel = lint_sources(&sources, &config, &Runtime::with_workers(workers))
-                .expect("rendered corpus parses");
+        for workers in [1, 2, 3, 5] {
+            let parallel = lint(Runtime::with_workers(workers));
             prop_assert_eq!(&reference, &parallel, "workers = {}", workers);
         }
+    }
+}
+
+/// A random graph on `g0..g{n-1}`: `(parent, child, is_support)` edges,
+/// self-loops dropped (the builder rejects them) and duplicates folded.
+fn graph_strategy() -> impl Strategy<Value = (usize, Vec<(usize, usize, bool)>)> {
+    (1usize..10).prop_flat_map(|n| {
+        let edge = (0..n, 0..n, any::<bool>());
+        (Just(n), collection::vec(edge, 0..3 * n))
+    })
+}
+
+/// The naive CK002 oracle: classes of mutually reachable nodes over the
+/// support edges alone, kept when they hold at least two nodes.
+fn naive_support_cycles(n: usize, edges: &[(usize, usize, bool)]) -> BTreeSet<BTreeSet<usize>> {
+    let mut reach = vec![vec![false; n]; n];
+    for &(a, b, support) in edges {
+        reach[a][b] |= support;
+    }
+    for k in 0..n {
+        for i in 0..n {
+            for j in 0..n {
+                reach[i][j] |= reach[i][k] && reach[k][j];
+            }
+        }
+    }
+    (0..n)
+        .map(|i| {
+            (0..n)
+                .filter(|&j| j == i || (reach[i][j] && reach[j][i]))
+                .collect()
+        })
+        .filter(|class: &BTreeSet<usize>| class.len() > 1)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// CK002 reports exactly the mutual-reachability classes of the
+    /// support relation, each once, with every member named.
+    #[test]
+    fn support_cycle_members_match_mutual_reachability(graph in graph_strategy()) {
+        let (n, edges) = graph;
+        let mut builder = Argument::builder("cycles");
+        for i in 0..n {
+            builder = builder.add(&format!("g{i}"), NodeKind::Goal, &format!("claim {i}"));
+        }
+        let mut seen = BTreeSet::new();
+        for &(a, b, support) in &edges {
+            if a != b && seen.insert((a, b, support)) {
+                let kind = if support { EdgeKind::SupportedBy } else { EdgeKind::InContextOf };
+                builder = builder.edge(&format!("g{a}"), &format!("g{b}"), kind);
+            }
+        }
+        let argument = builder.build().expect("generated graph builds");
+        let reported: BTreeSet<BTreeSet<usize>> = lint_argument(&argument, &LintConfig::new())
+            .iter()
+            .filter(|d| d.code == LintCode::SupportCycle)
+            .map(|d| {
+                d.primary
+                    .iter()
+                    .chain(&d.related)
+                    .map(|id| id.as_str()[1..].parse().expect("node ids are g<i>"))
+                    .collect()
+            })
+            .collect();
+        let kept: Vec<_> = edges.iter().copied().filter(|&(a, b, _)| a != b).collect();
+        prop_assert_eq!(reported, naive_support_cycles(n, &kept));
     }
 }

@@ -10,9 +10,10 @@
 //! baseline arm is a serial loop over
 //! [`casekit_core::dsl::parse_argument_seed`]: one abort-at-first-error
 //! parse per file, which is all the seed frontend can offer. The engine
-//! arm is [`casekit_service::CorpusLoader`]: the recovering parser over
-//! every file, every syntax error mapped to a span-carrying `CK2xx`
-//! diagnostic, sharded across `casekit-runtime` workers.
+//! arm is a `Runtime::map` of [`casekit_analysis::check_syntax`]: the
+//! recovering parser over every file, every syntax error mapped to a
+//! span-carrying `CK2xx` diagnostic, sharded across `casekit-runtime`
+//! workers.
 //!
 //! `bench_dsl_json` emits the comparison as `BENCH_dsl.json` (via
 //! `repro dsl`), with two correctness flags folded into one
@@ -23,9 +24,9 @@
 //! diagnostic streams at one, two, and the full worker count are
 //! byte-identical).
 
+use casekit_analysis::{check_syntax, LintConfig, SourceAnalysis};
 use casekit_core::dsl::parse_argument_seed;
 use casekit_runtime::Runtime;
-use casekit_service::{CorpusLoader, LoadedCase};
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -131,10 +132,18 @@ pub fn seed_parse_corpus(sources: &[String]) -> usize {
         .count()
 }
 
+/// The engine arm: the recovering frontend over every file, sharded
+/// across the runtime's workers, syntax diagnostics at their default
+/// levels. Output is index-aligned with `sources`.
+fn load_corpus(sources: &[String], runtime: &Runtime) -> Vec<SourceAnalysis> {
+    let config = LintConfig::new();
+    runtime.map(sources, |_, src| check_syntax(src, &config))
+}
+
 /// The differential half of the roundtrip flag: every seed-accepted
 /// file must load clean and argument-identical, and every seed-rejected
 /// file's abort message must appear in the recovered diagnostic stream.
-fn seed_containment(sources: &[String], loaded: &[LoadedCase]) -> bool {
+fn seed_containment(sources: &[String], loaded: &[SourceAnalysis]) -> bool {
     sources
         .iter()
         .zip(loaded)
@@ -202,20 +211,19 @@ pub fn run_dsl_bench(workers: usize) -> DslBenchReport {
 pub fn run_dsl_bench_with(config: &DslBenchConfig, workers: usize) -> DslBenchReport {
     let sources = dsl_corpus(config);
     let source_bytes: usize = sources.iter().map(String::len).sum();
-    let loader = CorpusLoader::new();
 
     let (baseline_ms, _parsed) = crate::best_of_ms(3, || seed_parse_corpus(&sources));
     let serial_runtime = Runtime::serial();
     let (serial_ms, serial_loaded) =
-        crate::best_of_ms(3, || loader.load(&sources, &serial_runtime));
+        crate::best_of_ms(3, || load_corpus(&sources, &serial_runtime));
     let runtime = Runtime::with_workers(workers);
-    let (parallel_ms, parallel_loaded) = crate::best_of_ms(3, || loader.load(&sources, &runtime));
+    let (parallel_ms, parallel_loaded) = crate::best_of_ms(3, || load_corpus(&sources, &runtime));
 
     // Correctness: worker invariance across one, two, and `workers`
     // threads, plus the seed containment property on every file.
-    let halfway = loader.load(&sources, &Runtime::with_workers(2));
+    let halfway = load_corpus(&sources, &Runtime::with_workers(2));
     let streams_agree = {
-        let diags = |cases: &[LoadedCase]| -> Vec<_> {
+        let diags = |cases: &[SourceAnalysis]| -> Vec<_> {
             cases
                 .iter()
                 .map(|c| c.diagnostics.clone())
@@ -291,7 +299,7 @@ mod tests {
             files: 8,
             nodes_per_file: 6,
         });
-        let loaded = CorpusLoader::new().load(&sources, &Runtime::serial());
+        let loaded = load_corpus(&sources, &Runtime::serial());
         let has = |k: usize, code: LintCode| loaded[k].diagnostics.iter().any(|d| d.code == code);
         assert!(loaded[0].is_clean() && loaded[4].is_clean());
         assert!(!loaded[1].is_clean(), "truncation errs");
@@ -312,7 +320,7 @@ mod tests {
             files: 64,
             nodes_per_file: 7,
         });
-        let loaded = CorpusLoader::new().load(&sources, &Runtime::serial());
+        let loaded = load_corpus(&sources, &Runtime::serial());
         assert!(seed_containment(&sources, &loaded));
         // Valid files are exactly the 0/4 stripes.
         let parsed = seed_parse_corpus(&sources);

@@ -2,7 +2,8 @@
 //!
 //! The reproduction harness: renderers for every table and figure of
 //! Graydon (DSN 2015), shared by the `repro` binary and the Criterion
-//! benches. See EXPERIMENTS.md for the paper-vs-measured record.
+//! benches. The README's "Reproduction artifacts" section lists every
+//! artifact and the command that regenerates it.
 
 #![forbid(unsafe_code)]
 

@@ -8,11 +8,12 @@
 //! re-parses the case text, and each solver-backed tool pays a fresh
 //! Tseitin compilation (thirteen per fully-formal argument). That is
 //! the access pattern of pointing fifteen separate command-line
-//! checkers at one file. The engine arm is
-//! [`casekit_analysis::lint_sources`]: one parse and one compilation
-//! per argument, every pass an assume/check/retract round on that
-//! session (with a witness pool reusing models across questions),
-//! sharded across `casekit-runtime` workers.
+//! checkers at one file. The engine arm is a `Runtime::map` of
+//! [`parse_argument`] then [`casekit_analysis::lint_argument`]: one
+//! parse and one compilation per argument, every pass an
+//! assume/check/retract round on that session (with a witness pool
+//! reusing models across questions), sharded across `casekit-runtime`
+//! workers.
 //!
 //! `bench_lint_json` emits the comparison as `BENCH_lint.json` (via
 //! `repro lint`), with the diagnostic streams of every engine and every
@@ -21,7 +22,8 @@
 //! `thread_speedup` isolates the worker contribution (≈1.0 on a
 //! single-core host, where compile-once supplies the whole win).
 
-use casekit_analysis::{baseline, lint_sources, Diagnostic, LintConfig};
+use casekit_analysis::{baseline, lint_argument, Diagnostic, LintConfig};
+use casekit_core::dsl::parse_argument;
 use casekit_runtime::Runtime;
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -177,7 +179,12 @@ fn engine_lint_corpus(
     config: &LintConfig,
     runtime: &Runtime,
 ) -> Vec<Vec<Diagnostic>> {
-    lint_sources(sources, config, runtime).expect("generated corpus parses")
+    runtime.map(sources, |_, src| {
+        lint_argument(
+            &parse_argument(src).expect("generated corpus parses"),
+            config,
+        )
+    })
 }
 
 /// The measured comparison, serialized into `BENCH_lint.json`.

@@ -551,68 +551,6 @@ impl ArgumentTheory {
     }
 }
 
-/// An immutable, thread-shareable store of compiled argument theories —
-/// one [`ArgumentTheory`] per argument, compiled up front.
-///
-/// Compilation (the only formula traversal) happens once per argument;
-/// afterwards the cache is read-only, so `&TheoryCache` can be handed to
-/// any number of worker threads (`Send + Sync` — every constituent is
-/// plain data behind `Arc<str>` atoms). Because solver questions need
-/// `&mut` (they push and retract assumption trails), each asker clones a
-/// private [`session`](TheoryCache::session): a flat copy of the
-/// compiled clause database, far cheaper than re-running Tseitin
-/// compilation from the argument's formulas. This is what lets a
-/// parallel review harness share one compilation per argument across
-/// all workers instead of recompiling per review.
-#[derive(Debug, Clone, Default)]
-pub struct TheoryCache {
-    compiled: Vec<ArgumentTheory>,
-}
-
-impl TheoryCache {
-    /// Compiles every argument in order. The cache is indexed by the
-    /// argument's position in `arguments`.
-    pub fn compile<'a, I>(arguments: I) -> Self
-    where
-        I: IntoIterator<Item = &'a Argument>,
-    {
-        TheoryCache {
-            compiled: arguments.into_iter().map(ArgumentTheory::compile).collect(),
-        }
-    }
-
-    /// Wraps theories compiled elsewhere (e.g. in parallel) into a cache.
-    pub fn from_compiled(compiled: Vec<ArgumentTheory>) -> Self {
-        TheoryCache { compiled }
-    }
-
-    /// Number of cached theories.
-    pub fn len(&self) -> usize {
-        self.compiled.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.compiled.is_empty()
-    }
-
-    /// Borrows the compiled theory at `index`, if present.
-    pub fn get(&self, index: usize) -> Option<&ArgumentTheory> {
-        self.compiled.get(index)
-    }
-
-    /// A private mutable session over the theory at `index`: a clone of
-    /// the compiled clause database, ready for assumption rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds (caches are built from the
-    /// same slice the caller is iterating).
-    pub fn session(&self, index: usize) -> ArgumentTheory {
-        self.compiled[index].clone()
-    }
-}
-
 /// Whether the support step into `id` is deductively valid: the
 /// conjunction of the formalised supporting children's payloads entails
 /// `id`'s payload.
@@ -823,19 +761,15 @@ mod tests {
     }
 
     #[test]
-    fn theory_cache_sessions_are_independent_and_shareable() {
+    fn cloned_theory_sessions_are_independent_and_shareable() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<TheoryCache>();
+        assert_send_sync::<ArgumentTheory>();
         let a = deductive_case();
-        let cache = TheoryCache::compile([&a]);
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.is_empty());
-        assert!(cache.get(0).is_some());
-        assert!(cache.get(1).is_none());
-        // Two sessions from the same compilation answer independently
-        // (each carries its own assumption trail).
-        let mut s1 = cache.session(0);
-        let mut s2 = cache.session(0);
+        let compiled = ArgumentTheory::compile(&a);
+        // Two sessions cloned from the same compilation answer
+        // independently (each carries its own assumption trail).
+        let mut s1 = compiled.clone();
+        let mut s2 = compiled;
         assert_eq!(s1.root_entailed(), Some(true));
         assert_eq!(s2.root_entailed(), Some(true));
         assert_eq!(s1.probe(&a).unwrap().critical_indices(), vec![0, 1]);

@@ -12,19 +12,20 @@
 //! rate per arm (humans vs machine), and informal catch rate (should not
 //! differ — the checker cannot help there).
 //!
-//! The machine arm runs once per generated argument through
-//! [`runtime::machine_check_sweep`] — the findings are deterministic, so
-//! every treatment review shares them instead of recompiling the
-//! argument's theory. Subjects are sharded across the [`Runtime`]'s
+//! The machine arm runs once per generated argument, a
+//! [`Runtime::map`] of [`check_argument`] — the findings are
+//! deterministic, so every treatment review shares them instead of
+//! recompiling the argument's theory. Subjects are sharded across the [`Runtime`]'s
 //! workers with per-subject RNG streams; the report is byte-identical
 //! for every worker count.
 
 use crate::generator::{generate, Generated, GeneratorConfig, SeededFormal};
 use crate::population::{generate as generate_pool, PoolConfig};
 use crate::reviewer::{review_counts, ReviewScope};
-use crate::runtime::{self, Runtime, StreamLane};
+use crate::runtime::{Runtime, StreamLane};
 use crate::stats::{describe, welch_t_test, Descriptives, TestResult};
 use crate::Error;
+use casekit_fallacies::check_argument;
 use casekit_fallacies::taxonomy::InformalFallacy;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -185,9 +186,7 @@ pub fn run_with(config: &Config, rt: &Runtime) -> Result<Report, Error> {
     // The machine pass: once per argument, shared by every treatment
     // review (its runtime is negligible next to human minutes and is
     // not charged to the reviewer).
-    let case_arguments: Vec<&casekit_core::Argument> =
-        cases.iter().map(|c| &c.case.argument).collect();
-    let machine_reports = runtime::machine_check_sweep(&case_arguments, rt);
+    let machine_reports = rt.map(&cases, |_, c| check_argument(&c.case.argument));
     let machine_caught_per_sweep: usize = cases
         .iter()
         .zip(&machine_reports)

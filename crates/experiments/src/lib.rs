@@ -28,13 +28,11 @@
 //! module is the executor for the middle one:
 //!
 //! 1. **Materials** (serial) — subject pools, generated arguments, and
-//!    their compiled theories are built once. Arguments that will be
-//!    machine-checked are swept through
-//!    [`runtime::machine_check_sweep`], which compiles and checks each
-//!    propositional skeleton exactly once and memoises the
-//!    deterministic findings, so no review ever recompiles a theory
-//!    (re-asking callers share compilations through an immutable
-//!    [`casekit_core::semantics::TheoryCache`]).
+//!    their machine-check findings are built once. Arguments that will
+//!    be machine-checked go through one [`runtime::Runtime::map`] of
+//!    [`casekit_fallacies::check_argument`], which compiles and checks
+//!    each propositional skeleton exactly once; every review shares
+//!    the deterministic findings, so none recompiles a theory.
 //! 2. **Measurement** (parallel) — the subject population is sharded
 //!    across scoped worker threads by [`runtime::Runtime::map`]. Each
 //!    subject draws from its own [`runtime::stream_rng`] stream derived

@@ -17,14 +17,12 @@
 //!    population into contiguous per-worker chunks and reassembles
 //!    results in input order; reductions then run serially over that
 //!    stable order.
-//! 3. **Shared immutable materials** — generated arguments, their
-//!    machine-check findings, and (for callers that keep asking) their
-//!    compiled theories are built once and only read inside workers.
-//!    [`machine_check_sweep`] compiles and checks each argument exactly
-//!    once across the whole run, so a review never recompiles a theory;
-//!    [`machine_check_sweep_cached`] serves the re-asking case by
-//!    cloning per-question solver sessions out of an immutable
-//!    [`TheoryCache`].
+//! 3. **Shared immutable materials** — generated arguments and their
+//!    machine-check findings are built once and only read inside
+//!    workers. The machine arm is one [`Runtime::map`] of
+//!    [`check_argument`](casekit_fallacies::check_argument) over the
+//!    arguments, so each is compiled and checked exactly once across
+//!    the whole run and a review never recompiles a theory.
 //!
 //! The executor itself lives in the bottom-layer `casekit-runtime`
 //! crate (re-exported here as [`Runtime`]), where the AF engine's
@@ -37,12 +35,8 @@
 //! determinism tests and measured in `repro experiments`
 //! (`BENCH_experiments.json`).
 
-use casekit_core::semantics::{ArgumentTheory, TheoryCache};
-use casekit_core::Argument;
-use casekit_fallacies::checker::{check_compiled, MachineReport};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::borrow::Borrow;
 
 pub use casekit_runtime::{Runtime, MIN_CHUNK};
 
@@ -86,60 +80,12 @@ pub fn stream_rng(seed: u64, lane: u64, index: u64) -> ChaCha8Rng {
     StreamLane::new(seed, lane).rng(index)
 }
 
-/// Machine-checks a population of arguments: one theory compilation and
-/// one [`check_compiled`] pass per argument, fanned across the runtime's
-/// workers.
-///
-/// This is the §VI-A machine arm at population scale — the reports are
-/// deterministic, so experiment code calls this once and shares the
-/// findings across every simulated review of the same argument instead
-/// of recompiling per review. Each freshly compiled theory is checked
-/// in place inside its worker (a sweep asks exactly one question set
-/// per argument, so nothing is cached); callers that keep re-asking
-/// about the same arguments should compile into a [`TheoryCache`] and
-/// clone per-question sessions out of it instead.
-pub fn machine_check_sweep<A>(arguments: &[A], runtime: &Runtime) -> Vec<MachineReport>
-where
-    A: Borrow<Argument> + Sync,
-{
-    runtime.map(arguments, |_, a| {
-        let mut theory = ArgumentTheory::compile(a.borrow());
-        check_compiled(a.borrow(), &mut theory)
-    })
-}
-
-/// [`machine_check_sweep`] against theories already compiled into a
-/// shared [`TheoryCache`]: every worker clones a private session out of
-/// the immutable cache instead of recompiling the argument's payloads.
-///
-/// Use this when the cache outlives the sweep (the compilations are
-/// about to serve further probes or what-if rounds); for a one-shot
-/// sweep, [`machine_check_sweep`] avoids the per-argument session
-/// clone.
-///
-/// # Panics
-///
-/// Panics if `cache` holds fewer theories than `arguments` (they must
-/// be built from the same slice).
-pub fn machine_check_sweep_cached<A>(
-    arguments: &[A],
-    cache: &TheoryCache,
-    runtime: &Runtime,
-) -> Vec<MachineReport>
-where
-    A: Borrow<Argument> + Sync,
-{
-    runtime.map(arguments, |i, a| {
-        let mut session = cache.session(i);
-        check_compiled(a.borrow(), &mut session)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::{generate, GeneratorConfig, SeededFormal};
-    use casekit_fallacies::checker::check_argument;
+    use casekit_core::Argument;
+    use casekit_fallacies::checker::{check_argument, MachineReport};
     use rand::Rng;
 
     #[test]
@@ -207,14 +153,8 @@ mod tests {
             .collect();
         let expected: Vec<MachineReport> = arguments.iter().map(check_argument).collect();
         for workers in [1, 2, 4] {
-            let swept = machine_check_sweep(&arguments, &Runtime::with_workers(workers));
+            let swept = Runtime::with_workers(workers).map(&arguments, |_, a| check_argument(a));
             assert_eq!(swept, expected, "workers = {workers}");
-            // The cached variant (shared compilations, cloned sessions)
-            // returns the same reports.
-            let cache = TheoryCache::compile(arguments.iter());
-            let cached =
-                machine_check_sweep_cached(&arguments, &cache, &Runtime::with_workers(workers));
-            assert_eq!(cached, expected, "cached, workers = {workers}");
         }
     }
 }

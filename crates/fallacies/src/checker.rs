@@ -75,11 +75,10 @@ impl MachineReport {
 /// detectors run over borrowed premise references — no `Formula` clones
 /// anywhere on the path.
 ///
-/// Callers that check the same argument repeatedly (e.g. a review
-/// harness asking once per simulated reviewer) should compile once —
-/// or pull a session from a [`casekit_core::semantics::TheoryCache`] —
-/// and call [`check_compiled`] instead of paying this compilation every
-/// time.
+/// The report is a pure function of the argument, so callers that need
+/// it more than once (e.g. a review harness asking once per simulated
+/// reviewer) check each argument once and share the report; a
+/// population is a `Runtime::map` over this function.
 pub fn check_argument(argument: &Argument) -> MachineReport {
     let mut theory = ArgumentTheory::compile(argument);
     check_compiled(argument, &mut theory)
@@ -88,12 +87,11 @@ pub fn check_argument(argument: &Argument) -> MachineReport {
 /// [`check_argument`] against an already-compiled theory session.
 ///
 /// `theory` must be a session over this `argument` (fresh from
-/// [`ArgumentTheory::compile`] or cloned out of a
-/// [`casekit_core::semantics::TheoryCache`]); the premise and conclusion
-/// literal lists are aligned with the argument's formal skeleton by
+/// [`ArgumentTheory::compile`]); the premise and conclusion literal
+/// lists are aligned with the argument's formal skeleton by
 /// construction. Checks fully retract their assumptions, so one session
 /// can serve any number of calls.
-pub fn check_compiled(argument: &Argument, theory: &mut ArgumentTheory) -> MachineReport {
+fn check_compiled(argument: &Argument, theory: &mut ArgumentTheory) -> MachineReport {
     let premises = formal_premises(argument);
     let conclusion = formal_conclusion(argument);
     let formal_nodes = argument.formalised_count();
@@ -268,7 +266,7 @@ mod tests {
         let fresh = check_argument(&a);
         let mut session = ArgumentTheory::compile(&a);
         // The same session answers identically as many times as asked —
-        // the access pattern of a theory cache shared across reviews.
+        // retracting every assumption it pushes.
         for _ in 0..3 {
             assert_eq!(check_compiled(&a, &mut session), fresh);
         }

@@ -69,6 +69,7 @@
 //! `repro af` measures the speedup into `BENCH_af.json`).
 
 use super::{Adjacency, ArgId, Framework, Label};
+use crate::graph::tarjan_scc;
 use crate::prop::intern::Lit;
 use crate::prop::solver::Solver;
 use casekit_runtime::Runtime;
@@ -122,67 +123,25 @@ pub struct Condensation {
 }
 
 impl Condensation {
-    /// Condenses `adj` with an iterative Tarjan pass — an explicit
-    /// work stack instead of recursion, so a 10^5-node attack chain
-    /// cannot overflow the call stack.
+    /// Condenses `adj` with the shared iterative Tarjan pass
+    /// ([`tarjan_scc`]), so a 10^5-node attack chain cannot overflow
+    /// the call stack.
     pub fn build(adj: &Adjacency) -> Self {
-        const UNVISITED: usize = usize::MAX;
         let n = adj.num_args();
-        let mut index = vec![UNVISITED; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<ArgId> = Vec::new();
         // Tarjan emission ids: the first component emitted is a sink of
         // the condensation, so emission order is reverse topological.
-        let mut emission = vec![UNVISITED; n];
+        let mut emission = vec![0usize; n];
         let mut emitted = 0usize;
-        let mut next_index = 0usize;
-        let mut call: Vec<(ArgId, usize)> = Vec::new();
-        for root in 0..n {
-            if index[root] != UNVISITED {
-                continue;
-            }
-            index[root] = next_index;
-            low[root] = next_index;
-            next_index += 1;
-            stack.push(root);
-            on_stack[root] = true;
-            call.push((root, 0));
-            while let Some(frame) = call.last_mut() {
-                let v = frame.0;
-                let targets = adj.targets(v);
-                if frame.1 < targets.len() {
-                    let w = targets[frame.1];
-                    frame.1 += 1;
-                    if index[w] == UNVISITED {
-                        index[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w] = true;
-                        call.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    call.pop();
-                    if let Some(parent) = call.last() {
-                        low[parent.0] = low[parent.0].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        loop {
-                            let w = stack.pop().expect("Tarjan stack holds the component");
-                            on_stack[w] = false;
-                            emission[w] = emitted;
-                            if w == v {
-                                break;
-                            }
-                        }
-                        emitted += 1;
-                    }
+        tarjan_scc(
+            n,
+            |v| adj.targets(v).iter().copied(),
+            |members| {
+                for &w in members {
+                    emission[w] = emitted;
                 }
-            }
-        }
+                emitted += 1;
+            },
+        );
         // Reverse the emission order so attackers come first.
         let num_comps = emitted;
         let comp_of: Vec<usize> = emission.iter().map(|&e| num_comps - 1 - e).collect();

@@ -93,6 +93,7 @@
 pub mod af;
 pub mod ec;
 pub mod fol;
+pub mod graph;
 pub mod ltl;
 pub mod nd;
 pub mod probe;

@@ -144,35 +144,7 @@ impl Runtime {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let workers = self.effective_workers(items.len());
-        if workers <= 1 {
-            return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-        }
-        let chunk_len = items.len().div_ceil(workers);
-        let chunks: Vec<Vec<R>> = std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = items
-                .chunks(chunk_len)
-                .enumerate()
-                .map(|(chunk_index, chunk)| {
-                    scope.spawn(move || {
-                        let base = chunk_index * chunk_len;
-                        let mut out = Vec::with_capacity(chunk.len());
-                        out.extend(chunk.iter().enumerate().map(|(j, x)| f(base + j, x)));
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("runtime worker panicked"))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in chunks {
-            out.extend(chunk);
-        }
-        out
+        run_chunks(items.chunks(self.chunk_len(items.len())), f)
     }
 
     /// [`Runtime::map`] over *mutable* items: applies `f` to every item
@@ -199,36 +171,58 @@ impl Runtime {
         R: Send,
         F: Fn(usize, &mut T) -> R + Sync,
     {
-        let workers = self.effective_workers(items.len());
-        if workers <= 1 {
-            return items.iter_mut().enumerate().map(|(i, x)| f(i, x)).collect();
-        }
-        let chunk_len = items.len().div_ceil(workers);
-        let chunks: Vec<Vec<R>> = std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = items
-                .chunks_mut(chunk_len)
-                .enumerate()
-                .map(|(chunk_index, chunk)| {
-                    scope.spawn(move || {
-                        let base = chunk_index * chunk_len;
-                        let mut out = Vec::with_capacity(chunk.len());
-                        out.extend(chunk.iter_mut().enumerate().map(|(j, x)| f(base + j, x)));
-                        out
-                    })
-                })
-                .collect();
-            handles
+        run_chunks(items.chunks_mut(self.chunk_len(items.len())), f)
+    }
+
+    /// The chunk length that splits `items` items across
+    /// [`Runtime::effective_workers`] workers (at least 1, so empty
+    /// inputs still chunk).
+    fn chunk_len(&self, items: usize) -> usize {
+        items.div_ceil(self.effective_workers(items)).max(1)
+    }
+}
+
+/// The one chunk loop behind [`Runtime::map`] and [`Runtime::map_mut`]:
+/// a single chunk runs inline on the calling thread; otherwise each
+/// chunk gets one scoped thread and the per-chunk outputs are
+/// concatenated back in order into one exactly-sized allocation.
+fn run_chunks<C, R, F>(mut chunks: impl ExactSizeIterator<Item = C>, f: F) -> Vec<R>
+where
+    C: IntoIterator,
+    C::IntoIter: ExactSizeIterator + Send,
+    R: Send,
+    F: Fn(usize, C::Item) -> R + Sync,
+{
+    if chunks.len() <= 1 {
+        return chunks.next().map_or_else(Vec::new, |chunk| {
+            chunk
                 .into_iter()
-                .map(|h| h.join().expect("runtime worker panicked"))
+                .enumerate()
+                .map(|(i, x)| f(i, x))
                 .collect()
         });
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in chunks {
-            out.extend(chunk);
-        }
-        out
     }
+    let f = &f;
+    let outputs: Vec<Vec<R>> = std::thread::scope(|scope| {
+        let mut base = 0;
+        let handles: Vec<_> = chunks
+            .map(|chunk| {
+                let chunk = chunk.into_iter();
+                let offset = base;
+                base += chunk.len();
+                scope.spawn(move || chunk.enumerate().map(|(j, x)| f(offset + j, x)).collect())
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("runtime worker panicked"))
+            .collect()
+    });
+    let mut out = Vec::with_capacity(outputs.iter().map(Vec::len).sum());
+    for chunk in outputs {
+        out.extend(chunk);
+    }
+    out
 }
 
 #[cfg(test)]

@@ -96,11 +96,9 @@
 
 #![forbid(unsafe_code)]
 
-mod loader;
 mod ops;
 mod session;
 
-pub use loader::{CorpusLoader, LoadedCase};
 pub use ops::{CaseAnswers, CaseOp, EditError, EditOp, ProbeAnswer};
 pub use session::{batch_answers, batch_transcript, CaseSession, SessionStats};
 

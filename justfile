@@ -24,6 +24,11 @@ ci:
 bench-gate:
     ./scripts/bench_gate.sh
 
+# Product line count (crates/*/src without bench and vendor, in-file
+# unit tests excluded) — the figure ROADMAP.md tracks. Print-only.
+loc:
+    ./scripts/loc.sh
+
 # Format the workspace in place.
 fmt:
     cargo fmt --all
