@@ -240,7 +240,23 @@ mod tests {
     #[test]
     fn sharded_corpus_is_worker_invariant() {
         use casekit_runtime::Runtime;
-        let sources: Vec<String> = (0..32)
+        let sources = mixed_corpus();
+        let config = LintConfig::new();
+        let serial: Vec<Vec<Diagnostic>> = sources
+            .iter()
+            .map(|s| check_source(s, &config).diagnostics)
+            .collect();
+        for workers in [1, 2, 4, 8] {
+            let runtime = Runtime::with_workers(workers);
+            let sharded: Vec<Vec<Diagnostic>> =
+                runtime.map(&sources, |_, s| check_source(s, &config).diagnostics);
+            assert_eq!(sharded, serial, "workers={workers}");
+        }
+    }
+
+    /// Clean, typo and unterminated-string files, striped by `i % 4`.
+    fn mixed_corpus() -> Vec<String> {
+        (0..32)
             .map(|i| match i % 4 {
                 0 => format!(
                     "argument \"c{i}\" {{\n  goal g1 \"top\" {{ solution e1 \"log {i}\" }}\n}}\n"
@@ -249,14 +265,17 @@ mod tests {
                 2 => format!("argument \"c{i}\" {{\n  gaol g1 \"typo\"\n  goal g2 \"ok\" \n}}\n"),
                 _ => format!("argument \"c{i}\" {{\n  goal g1 \"unterminated {i}\n"),
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn sharded_syntax_check_is_index_aligned_and_worker_invariant() {
+        use casekit_runtime::Runtime;
+        let sources = mixed_corpus();
         let config = LintConfig::new();
-        let serial: Vec<Vec<Diagnostic>> = sources
-            .iter()
-            .map(|s| check_source(s, &config).diagnostics)
-            .collect();
         // The syntax-only ingestion path recovers every defect class.
         let loaded = Runtime::serial().map(&sources, |_, s| check_syntax(s, &config));
+        assert_eq!(loaded.len(), sources.len());
         for (i, analysis) in loaded.iter().enumerate() {
             let has = |code| analysis.diagnostics.iter().any(|d| d.code == code);
             match i % 4 {
@@ -271,16 +290,17 @@ mod tests {
         let loaded: Vec<Vec<Diagnostic>> = loaded.into_iter().map(|a| a.diagnostics).collect();
         for workers in [1, 2, 4, 8] {
             let runtime = Runtime::with_workers(workers);
-            let sharded: Vec<Vec<Diagnostic>> =
-                runtime.map(&sources, |_, s| check_source(s, &config).diagnostics);
-            assert_eq!(sharded, serial, "workers={workers}");
             let syntax: Vec<Vec<Diagnostic>> =
                 runtime.map(&sources, |_, s| check_syntax(s, &config).diagnostics);
-            assert_eq!(syntax, loaded, "check_syntax, workers={workers}");
+            assert_eq!(syntax, loaded, "workers={workers}");
         }
-        // Allowing every code silences the syntax path entirely.
+    }
+
+    #[test]
+    fn allow_all_syntax_check_reports_nothing() {
+        use casekit_runtime::Runtime;
         let allow = LintConfig::allow_all();
-        let silent = Runtime::with_workers(2).map(&sources, |_, s| check_syntax(s, &allow));
+        let silent = Runtime::with_workers(2).map(&mixed_corpus(), |_, s| check_syntax(s, &allow));
         assert!(silent.iter().all(SourceAnalysis::is_clean));
     }
 
