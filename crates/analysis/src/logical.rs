@@ -397,7 +397,7 @@ pub(crate) fn pass_fallacies(
     };
     let premise_indices = theory.premise_indices();
     let conclusion_idx = theory.conclusion_index();
-    let findings = formal::detect_all_compiled_with(
+    let findings = formal::detect_all_compiled(
         theory.theory_mut(),
         pool,
         premise_lits,

@@ -13,9 +13,9 @@
 //! lifts preferred/stable to sizes the monolithic encoding cannot touch.
 //! All the old paths survive so the speedups stay measurable:
 //! [`run_af_bench`] cross-checks naive/SAT/decomposed set for set on
-//! every ≤ 16-argument instance, cross-checks decomposed-vs-monolithic
-//! at every size up to the cross-check ceiling, and emits the
-//! comparison as `BENCH_af.json` (via `repro af`).
+//! every ≤ 16-argument instance and decomposed-vs-monolithic at every
+//! size up to the cross-check ceiling; [`repro`] emits the comparison
+//! as `BENCH_af.json`.
 //!
 //! Uniformly-random digraphs at attack density 2 grow a giant strongly
 //! connected component (~63% of all arguments), which no decomposition
@@ -24,6 +24,7 @@
 //! look like real deliberation graphs: overwhelmingly singleton
 //! components plus a bounded handful of mutual-attack pairs.
 
+use crate::{BenchRun, Gate};
 use casekit_logic::af::encode::AfSat;
 use casekit_logic::af::scc::Decomposed;
 use casekit_logic::af::{naive, ArgId, Framework};
@@ -350,6 +351,77 @@ pub struct AfBenchReport {
     pub decomposed: Vec<AfSccSizeReport>,
 }
 
+/// The sizes of one AF run.
+#[derive(Debug, Clone, Copy)]
+pub struct AfSizes {
+    /// Arguments per cross-checked smoke instance (≤ 16).
+    pub smoke_n: usize,
+    /// Seeds per generator in the cross-checked population.
+    pub smoke_seeds: usize,
+    /// Chain length for the grounded comparison.
+    pub grounded_chain_n: usize,
+    /// SAT-path framework sizes.
+    pub sizes: &'static [usize],
+    /// Decomposed-engine scenario sizes (two generators each).
+    pub scc_sizes: &'static [usize],
+    /// Largest scenario size still cross-checked against the
+    /// monolithic encoding.
+    pub crosscheck: usize,
+}
+
+/// The committed `BENCH_af.json` run: the decomposed engine up to 10^5
+/// arguments, cross-checked against the monolithic encoding up to 10^4.
+pub const FULL: AfSizes = AfSizes {
+    smoke_n: 12,
+    smoke_seeds: 6,
+    grounded_chain_n: 300,
+    sizes: &[12, 50, 200, 1000],
+    scc_sizes: &[1_000, 10_000, 100_000],
+    crosscheck: 10_000,
+};
+
+/// The smoke run: a small cross-checked population and chain, the
+/// SAT-only sizes the gate needs, and a 20k decomposed-only size that
+/// only the decomposition can finish in smoke time.
+pub const SMOKE: AfSizes = AfSizes {
+    smoke_n: 12,
+    smoke_seeds: 4,
+    grounded_chain_n: 120,
+    sizes: &[12, 50],
+    scc_sizes: &[2_000, 20_000],
+    crosscheck: 2_000,
+};
+
+/// The AF gates. Floors sit far below the measured ratios (SAT vs
+/// enumeration ~50x, CSR grounded ~1000x at smoke scale). Every
+/// scenario up to the cross-check size must agree with the monolithic
+/// encoding, and the decomposed engine must finish the largest
+/// configured size.
+fn gates(r: &AfBenchReport, sizes: &AfSizes) -> Vec<Gate> {
+    let monolithic: Vec<bool> = (r.decomposed.iter())
+        .filter(|s| s.n <= sizes.crosscheck)
+        .map(|s| s.agrees_with_monolithic == Some(true))
+        .collect();
+    let largest = sizes.scc_sizes.iter().copied().max().unwrap_or(0);
+    vec![
+        Gate::floor("sat_over_naive", r.sat_over_naive, 10.0),
+        Gate::floor("grounded_over_naive", r.grounded_over_naive, 50.0),
+        Gate::flags("extensions_agree", &[r.extensions_agree]),
+        Gate::flags("grounded_agree", &[r.grounded_agree]),
+        Gate::flags("scc_agree", &[r.scc_agree]),
+        Gate::flags("agrees_with_monolithic", &monolithic),
+        Gate::equals("scc_largest_n", r.scc_largest_n, largest),
+    ]
+}
+
+/// `repro af [--smoke]`: the [`FULL`] (or [`SMOKE`]) run.
+pub fn repro(smoke: bool) -> BenchRun {
+    let sizes = if smoke { SMOKE } else { FULL };
+    let report = run_af_bench(&sizes);
+    let gates = gates(&report, &sizes);
+    BenchRun::finish("af", smoke, &report, render_report(&report), gates)
+}
+
 /// Builds the two large-n scenario frameworks at `n` arguments.
 fn scc_scenarios(n: usize) -> [(&'static str, Framework); 2] {
     let layers = (n / 50).clamp(4, 40.min(n));
@@ -362,22 +434,15 @@ fn scc_scenarios(n: usize) -> [(&'static str, Framework); 2] {
     ]
 }
 
-/// Runs the engine comparison: a three-way cross-checked smoke
-/// population at `smoke_n` arguments, the grounded chain comparison at
-/// `grounded_chain_n`, SAT-path measurements at each of `sizes`, and
-/// decomposed-engine scenarios at each of `scc_sizes` — cross-checked
-/// against the monolithic encoding up to `scc_crosscheck_max`
-/// arguments, decomposed-only beyond it.
-pub fn run_af_bench(
-    smoke_n: usize,
-    smoke_seeds: usize,
-    grounded_chain_n: usize,
-    sizes: &[usize],
-    scc_sizes: &[usize],
-    scc_crosscheck_max: usize,
-) -> AfBenchReport {
+/// Runs the engine comparison: a three-way cross-checked population
+/// at `smoke_n` arguments, the grounded chain comparison, SAT-path
+/// measurements at each of `sizes`, and decomposed-engine scenarios at
+/// each of `scc_sizes` — cross-checked against the monolithic encoding
+/// up to `crosscheck` arguments, decomposed-only beyond it.
+pub fn run_af_bench(config: &AfSizes) -> AfBenchReport {
+    let smoke_n = config.smoke_n;
     assert!(smoke_n <= 16, "smoke instances must fit the enumerator");
-    let smoke: Vec<Framework> = (0..smoke_seeds as u64)
+    let smoke: Vec<Framework> = (0..config.smoke_seeds as u64)
         .flat_map(|seed| {
             [
                 random_framework(smoke_n, 2 * smoke_n, seed),
@@ -399,13 +464,14 @@ pub fn run_af_bench(
     let scc_verdicts: Vec<SemanticsVerdict> = smoke.iter().map(scc_sweep).collect();
     let mut scc_agree = scc_verdicts == sat_verdicts;
 
-    let chain = chain_framework(grounded_chain_n);
+    let chain = chain_framework(config.grounded_chain_n);
     let (grounded_naive_ms, grounded_naive) =
         crate::best_of_ms(3, || naive::grounded_extension(&chain));
     let (grounded_csr_ms, grounded_csr) = crate::best_of_ms(3, || chain.grounded_extension());
     let grounded_agree = grounded_naive == grounded_csr;
 
-    let sizes = sizes
+    let sizes = config
+        .sizes
         .iter()
         .map(|&n| {
             let af = random_framework(n, 2 * n, 0xBEEF ^ n as u64);
@@ -432,7 +498,7 @@ pub fn run_af_bench(
     let mut scc_speedup = 0.0;
     let mut scc_largest_n = 0;
     let mut decomposed = Vec::new();
-    for &n in scc_sizes {
+    for &n in config.scc_sizes {
         for (generator, af) in scc_scenarios(n) {
             let (grounded_ms, _) = crate::best_of_ms(3, || af.grounded_extension());
             let (preferred_ms, preferred) =
@@ -444,7 +510,7 @@ pub fn run_af_bench(
             let largest = cond.largest_component();
 
             let (monolithic_preferred_ms, agrees_with_monolithic, speedup_vs_monolithic) =
-                if n <= scc_crosscheck_max {
+                if n <= config.crosscheck {
                     let (mono_ms, mono_preferred) =
                         crate::best_of_ms(3, || AfSat::complete(&af).preferred());
                     let mono_stable = AfSat::stable(&af).extensions(None);
@@ -488,7 +554,7 @@ pub fn run_af_bench(
         sat_ms,
         sat_over_naive: naive_ms / sat_ms.max(1e-9),
         extensions_agree,
-        grounded_chain_n,
+        grounded_chain_n: config.grounded_chain_n,
         grounded_naive_ms,
         grounded_csr_ms,
         grounded_over_naive: grounded_naive_ms / grounded_csr_ms.max(1e-9),
@@ -499,11 +565,6 @@ pub fn run_af_bench(
         sizes,
         decomposed,
     }
-}
-
-/// Renders the report as JSON (the `BENCH_af.json` artifact).
-pub fn bench_af_json(report: &AfBenchReport) -> String {
-    serde_json::to_string_pretty(report).expect("report serializes")
 }
 
 /// Human-readable summary for the repro binary.
@@ -657,9 +718,23 @@ mod tests {
         );
     }
 
+    /// A run small enough for a unit test.
+    const TINY: AfSizes = AfSizes {
+        smoke_n: 8,
+        smoke_seeds: 2,
+        grounded_chain_n: 120,
+        sizes: &[8, 20],
+        scc_sizes: &[60, 120],
+        crosscheck: 60,
+    };
+
     #[test]
     fn report_is_sane_at_small_scale() {
-        let report = run_af_bench(8, 2, 120, &[8, 20], &[120], 120);
+        let report = run_af_bench(&AfSizes {
+            scc_sizes: &[120],
+            crosscheck: 120,
+            ..TINY
+        });
         assert!(report.extensions_agree);
         assert!(report.grounded_agree);
         assert!(report.scc_agree);
@@ -677,13 +752,40 @@ mod tests {
             assert!(s.preferred_count >= 1);
             assert!(s.components > 1, "multi-SCC by construction");
         }
-        let json = bench_af_json(&report);
+        let json = crate::report_json(&report);
         assert!(json.contains("\"sat_over_naive\""));
         assert!(json.contains("\"grounded_over_naive\""));
         assert!(json.contains("\"extensions_agree\": true"));
         assert!(json.contains("\"scc_agree\": true"));
         assert!(json.contains("\"speedup_vs_monolithic\""));
         assert!(render_report(&report).contains("extensions agree: true"));
+    }
+
+    #[test]
+    fn each_gate_trips() {
+        let mut ok = run_af_bench(&TINY);
+        ok.sat_over_naive = 10.0;
+        ok.grounded_over_naive = 50.0;
+        crate::tests::assert_each_gate_trips(
+            &ok,
+            |r| gates(r, &TINY),
+            &[
+                ("sat_over_naive", |r| r.sat_over_naive *= 0.999),
+                ("grounded_over_naive", |r| r.grounded_over_naive *= 0.999),
+                ("extensions_agree", |r| r.extensions_agree = false),
+                ("grounded_agree", |r| r.grounded_agree = false),
+                ("scc_agree", |r| r.scc_agree = false),
+                ("agrees_with_monolithic", |r| {
+                    r.decomposed[1].agrees_with_monolithic = Some(false);
+                }),
+                ("agrees_with_monolithic", |r| {
+                    r.decomposed[0].agrees_with_monolithic = None;
+                }),
+                ("scc_largest_n", |r| r.scc_largest_n = 60),
+            ],
+        );
+        // Two scenarios per cross-checked size, and nothing beyond it.
+        assert_eq!(gates(&ok, &TINY)[5].reading, "2 of 2 true");
     }
 
     #[test]

@@ -1,49 +1,21 @@
-//! `repro` — regenerates every table and figure of Graydon (DSN 2015).
-//!
-//! Usage:
+//! `repro` — regenerates every table and figure of Graydon (DSN 2015)
+//! and runs the benchmark artifacts with their gates.
 //!
 //! ```text
-//! repro [table1 | claims | figure1 | haley | greenwell |
-//!        exp-a | exp-b | exp-c | exp-d | exp-e | graph | logic |
-//!        af | fol | ltl | experiments | lint | service | dsl | all] [--smoke]
+//! repro [table1 | claims | figure1 | haley | greenwell | exp-a .. exp-e |
+//!        graph | logic | af | fol | ltl | experiments | lint | service | dsl |
+//!        bench | all] [--smoke]
 //! ```
 //!
-//! `graph` additionally writes the measured legacy-vs-indexed graph-core
-//! comparison to `BENCH_graph.json` in the working directory; `logic`
-//! does the same for the legacy-vs-interned batch entailment sweep plus
-//! the CDCL-vs-DPLL-vs-legacy hard-instance comparison
-//! (`BENCH_logic.json`), `af` for the subset-enumeration-vs-SAT
-//! argumentation-framework comparison (`BENCH_af.json`), `fol` for the
-//! seed-vs-interned resolution-engine comparison (`BENCH_fol.json`),
-//! `ltl` for the trace-vs-CSR bounded-checking comparison
-//! (`BENCH_ltl.json`), `experiments` for the serial-vs-parallel
-//! experiment runtime (`BENCH_experiments.json`), `lint` for the
-//! recompile-per-lint-vs-compile-once CaseLint comparison
-//! (`BENCH_lint.json`), `service` for the
-//! recompile-per-query-vs-incremental CaseService comparison under
-//! mixed edit/query traffic (`BENCH_service.json`), and `dsl` for the
-//! recovering-frontend corpus-ingestion comparison against the
-//! abort-on-first-error seed parser (`BENCH_dsl.json`).
-//!
-//! `--smoke` runs the benchmark artifacts on small fixed-seed
-//! populations and writes them as `BENCH_*.smoke.json` instead — fast,
-//! deterministic inputs for the CI bench-regression gate
-//! (`scripts/bench_gate.sh`), which checks speedup floors and agreement
-//! flags without disturbing the committed full-scale artifacts.
-//!
-//! With no artefact argument, prints everything.
+//! A benchmark artifact runs through its `casekit_bench::<artifact>::repro`
+//! entry, which writes `BENCH_<artifact>.json` (`.smoke.json` with
+//! `--smoke`) in the working directory. `bench` runs all nine; `all`
+//! (the default) prints every table and figure, then runs all nine.
+//! Benchmark runs end with one `ok`/`FAIL` line per gate and exit 1 if
+//! any failed: agreement flags gate every run, speed floors smoke runs.
+//! `repro bench --smoke` is the CI bench-regression gate.
 
-use casekit_bench as bench;
-
-/// Writes `json` to `path`, warning instead of failing on I/O errors
-/// (the artefact is also printed to stdout).
-fn write_artifact(path: &str, json: &str) {
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        eprintln!("wrote {path}");
-    }
-}
+use casekit_bench::{BenchRun, BENCHES, SECTIONS};
 
 fn main() {
     let mut smoke = false;
@@ -59,177 +31,54 @@ fn main() {
         }
     }
     let arg = artefact.unwrap_or_else(|| "all".to_string());
-    if smoke
-        && !matches!(
-            arg.as_str(),
-            "graph" | "logic" | "af" | "fol" | "ltl" | "experiments" | "lint" | "service" | "dsl"
-        )
-    {
+    let sections: Vec<_> = SECTIONS
+        .iter()
+        .filter(|(name, _)| arg == "all" || *name == arg)
+        .collect();
+    let benches: Vec<_> = BENCHES
+        .iter()
+        .filter(|(name, _)| matches!(arg.as_str(), "all" | "bench") || *name == arg)
+        .collect();
+    if sections.is_empty() && benches.is_empty() {
         eprintln!(
-            "--smoke only applies to the graph, logic, af, fol, ltl, experiments, lint, service, and dsl artefacts"
+            "unknown artefact `{arg}`; expected table1, claims, figure1, haley, \
+             greenwell, exp-a..exp-e, graph, logic, af, fol, ltl, experiments, lint, \
+             service, dsl, bench, or all"
         );
         std::process::exit(2);
     }
-    let output = match arg.as_str() {
-        "table1" => bench::table_i(),
-        "claims" => bench::claims_summary(),
-        "figure1" => bench::figure_1(),
-        "haley" => bench::haley_proof(),
-        "greenwell" => bench::greenwell_table(),
-        "exp-a" => bench::experiment_a(),
-        "exp-b" => bench::experiment_b(),
-        "exp-c" => bench::experiment_c(),
-        "exp-d" => bench::experiment_d(),
-        "exp-e" => bench::experiment_e(),
-        "graph" => {
-            let (nodes, path) = if smoke {
-                (2_000, "BENCH_graph.smoke.json")
-            } else {
-                (10_000, "BENCH_graph.json")
-            };
-            let report = bench::graph::run_graph_bench(nodes);
-            write_artifact(path, &bench::graph::bench_graph_json(&report));
-            bench::graph::render_report(&report)
+    if smoke && benches.is_empty() {
+        eprintln!("--smoke only applies to the benchmark artefacts, bench, and all");
+        std::process::exit(2);
+    }
+
+    for (_, section) in sections {
+        print!("{}", section());
+        if arg == "all" {
+            println!();
         }
-        "logic" => {
-            let (count, hard, path) = if smoke {
-                (
-                    24,
-                    bench::logic::hard_population_smoke(),
-                    "BENCH_logic.smoke.json",
-                )
-            } else {
-                (
-                    120,
-                    bench::logic::hard_population_full(),
-                    "BENCH_logic.json",
-                )
-            };
-            let report = bench::logic::run_logic_bench(count, &hard);
-            write_artifact(path, &bench::logic::bench_logic_json(&report));
-            bench::logic::render_report(&report)
-        }
-        "af" => {
-            // Smoke keeps the cross-checked population and chain small
-            // and caps the SAT-only sizes where the gate needs them;
-            // the full run carries the decomposed engine to 10^5
-            // arguments with a monolithic cross-check at 10^4.
-            let (smoke_seeds, chain, sizes, scc_sizes, crosscheck, path): (
-                usize,
-                usize,
-                &[usize],
-                &[usize],
-                usize,
-                &str,
-            ) = if smoke {
-                (
-                    4,
-                    120,
-                    &[12, 50],
-                    &[2_000, 20_000],
-                    2_000,
-                    "BENCH_af.smoke.json",
-                )
-            } else {
-                (
-                    6,
-                    300,
-                    &[12, 50, 200, 1000],
-                    &[1_000, 10_000, 100_000],
-                    10_000,
-                    "BENCH_af.json",
-                )
-            };
-            let report =
-                bench::af::run_af_bench(12, smoke_seeds, chain, sizes, scc_sizes, crosscheck);
-            write_artifact(path, &bench::af::bench_af_json(&report));
-            bench::af::render_report(&report)
-        }
-        "fol" => {
-            let (sizes, chain, path): (&[usize], usize, &str) = if smoke {
-                (&[100, 200], 4_000, "BENCH_fol.smoke.json")
-            } else {
-                (&[200, 400, 800], 30_000, "BENCH_fol.json")
-            };
-            let report = bench::fol::run_fol_bench(sizes, chain);
-            write_artifact(path, &bench::fol::bench_fol_json(&report));
-            bench::fol::render_report(&report)
-        }
-        "ltl" => {
-            // (states, chords, bound) triples for the cross-checked
-            // sweep, then the CSR-only deep point.
-            const SMOKE_POINTS: &[(usize, usize, usize)] = &[(10, 30, 9)];
-            const FULL_POINTS: &[(usize, usize, usize)] = &[(10, 30, 10), (12, 36, 11)];
-            let (points, large, path) = if smoke {
-                (SMOKE_POINTS, (12, 36, 10), "BENCH_ltl.smoke.json")
-            } else {
-                (FULL_POINTS, (14, 42, 12), "BENCH_ltl.json")
-            };
-            let report = bench::ltl::run_ltl_bench(points, large);
-            write_artifact(path, &bench::ltl::bench_ltl_json(&report));
-            bench::ltl::render_report(&report)
-        }
-        "experiments" => {
-            let (config, path) = if smoke {
-                (
-                    bench::experiments::smoke_config(),
-                    "BENCH_experiments.smoke.json",
-                )
-            } else {
-                (
-                    bench::experiments::scaled_config(),
-                    "BENCH_experiments.json",
-                )
-            };
-            let report = bench::experiments::run_experiments_bench_with(
-                &config,
-                bench::experiments_bench_workers(),
-            );
-            write_artifact(path, &bench::experiments::bench_experiments_json(&report));
-            bench::experiments::render_report(&report)
-        }
-        "lint" => {
-            let (config, path) = if smoke {
-                (bench::lint::smoke_config(), "BENCH_lint.smoke.json")
-            } else {
-                (bench::lint::scaled_config(), "BENCH_lint.json")
-            };
-            let report =
-                bench::lint::run_lint_bench_with(&config, bench::experiments_bench_workers());
-            write_artifact(path, &bench::lint::bench_lint_json(&report));
-            bench::lint::render_report(&report)
-        }
-        "service" => {
-            let (config, path) = if smoke {
-                (bench::service::smoke_config(), "BENCH_service.smoke.json")
-            } else {
-                (bench::service::scaled_config(), "BENCH_service.json")
-            };
-            let report =
-                bench::service::run_service_bench_with(&config, bench::experiments_bench_workers());
-            write_artifact(path, &bench::service::bench_service_json(&report));
-            bench::service::render_report(&report)
-        }
-        "dsl" => {
-            let (config, path) = if smoke {
-                (bench::dsl::smoke_config(), "BENCH_dsl.smoke.json")
-            } else {
-                (bench::dsl::scaled_config(), "BENCH_dsl.json")
-            };
-            let report =
-                bench::dsl::run_dsl_bench_with(&config, bench::experiments_bench_workers());
-            write_artifact(path, &bench::dsl::bench_dsl_json(&report));
-            bench::dsl::render_report(&report)
-        }
-        "all" => bench::all(),
-        other => {
-            eprintln!(
-                "unknown artefact `{other}`; expected table1, claims, figure1, haley, \
-                 greenwell, exp-a..exp-e, graph, logic, af, fol, ltl, experiments, lint, \
-                 service, dsl, or all"
-            );
-            std::process::exit(2);
-        }
-    };
-    print!("{output}");
+    }
+    let runs: Vec<BenchRun> = benches
+        .iter()
+        .map(|(_, bench)| {
+            let run = bench(smoke);
+            println!("{}", run.summary);
+            run
+        })
+        .collect();
+    if runs.is_empty() {
+        return;
+    }
+
+    println!("== bench gates ==");
+    for run in &runs {
+        print!("{}", run.gate_lines());
+    }
+    let failures: usize = runs.iter().map(BenchRun::failures).sum();
+    if failures == 0 {
+        println!("Bench gate passed.");
+    } else {
+        println!("Bench gate FAILED ({failures} gate(s)).");
+        std::process::exit(1);
+    }
 }

@@ -15,15 +15,15 @@
 //! span-carrying `CK2xx` diagnostic, sharded across `casekit-runtime`
 //! workers.
 //!
-//! `bench_dsl_json` emits the comparison as `BENCH_dsl.json` (via
-//! `repro dsl`), with two correctness flags folded into one
-//! `diagnostics_roundtrip` bit: the seed containment property (on every
+//! [`repro`] emits the comparison as `BENCH_dsl.json`, with two
+//! correctness flags folded into one `diagnostics_roundtrip` bit: the seed containment property (on every
 //! file the seed accepts, the engine is clean and argument-identical;
 //! on every file the seed rejects, the seed's error message appears in
 //! the engine's diagnostic stream) and worker invariance (the
 //! diagnostic streams at one, two, and the full worker count are
 //! byte-identical).
 
+use crate::{BenchRun, Gate};
 use casekit_analysis::{check_syntax, LintConfig, SourceAnalysis};
 use casekit_core::dsl::parse_argument_seed;
 use casekit_runtime::Runtime;
@@ -42,22 +42,18 @@ pub struct DslBenchConfig {
 
 /// The full-scale corpus behind the committed `BENCH_dsl.json`: ten
 /// thousand files.
-pub fn scaled_config() -> DslBenchConfig {
-    DslBenchConfig {
-        files: 10_000,
-        nodes_per_file: 12,
-    }
-}
+pub const FULL: DslBenchConfig = DslBenchConfig {
+    files: 10_000,
+    nodes_per_file: 12,
+};
 
-/// The CI smoke corpus (`repro dsl --smoke`): small enough to finish in
+/// The smoke corpus (`repro dsl --smoke`): small enough to finish in
 /// seconds, large enough that every defect class appears over a hundred
 /// times.
-pub fn smoke_config() -> DslBenchConfig {
-    DslBenchConfig {
-        files: 960,
-        nodes_per_file: 8,
-    }
-}
+pub const SMOKE: DslBenchConfig = DslBenchConfig {
+    files: 960,
+    nodes_per_file: 8,
+};
 
 /// A well-formed file: a formalised root goal over a context and a
 /// strategy over a striped mix of propositional, temporal, and
@@ -201,14 +197,38 @@ pub struct DslBenchReport {
     pub diagnostics_roundtrip: bool,
 }
 
-/// Runs the comparison on the full-scale corpus.
-pub fn run_dsl_bench(workers: usize) -> DslBenchReport {
-    run_dsl_bench_with(&scaled_config(), workers)
+/// The DSL gates. The recovering engine does strictly more work per
+/// defective file than the abort-at-first-error seed, so its
+/// end-to-end `speedup` must exceed 1 only when idle cores absorb the
+/// recovery cost; on one core the floor just rejects a pathological
+/// slowdown. `engine_mb_per_s` keeps recovery from collapsing
+/// ingestion throughput.
+fn gates(r: &DslBenchReport) -> Vec<Gate> {
+    let speedup_floor = if r.host_parallelism > 1 { 1.0 } else { 0.3 };
+    vec![
+        Gate::floor("speedup", r.speedup, speedup_floor),
+        Gate::floor("engine_mb_per_s", r.engine_mb_per_s, 2.0),
+        Gate::flags("diagnostics_roundtrip", &[r.diagnostics_roundtrip]),
+    ]
 }
 
-/// Runs the comparison on an explicit corpus shape (the smoke gate
-/// passes [`smoke_config`]).
-pub fn run_dsl_bench_with(config: &DslBenchConfig, workers: usize) -> DslBenchReport {
+/// `repro dsl [--smoke]`: the [`FULL`] (or [`SMOKE`]) corpus at the
+/// `RUNTIME_WORKERS` worker count.
+pub fn repro(smoke: bool) -> BenchRun {
+    let config = if smoke { SMOKE } else { FULL };
+    let report = run_dsl_bench(&config, Runtime::from_env().workers);
+    BenchRun::finish(
+        "dsl",
+        smoke,
+        &report,
+        render_report(&report),
+        gates(&report),
+    )
+}
+
+/// Runs the comparison on `config` with `workers` threads for the
+/// parallel arm.
+pub fn run_dsl_bench(config: &DslBenchConfig, workers: usize) -> DslBenchReport {
     let sources = dsl_corpus(config);
     let source_bytes: usize = sources.iter().map(String::len).sum();
 
@@ -255,11 +275,6 @@ pub fn run_dsl_bench_with(config: &DslBenchConfig, workers: usize) -> DslBenchRe
         thread_speedup: serial_ms / parallel_ms.max(1e-9),
         diagnostics_roundtrip,
     }
-}
-
-/// Renders the report as JSON (the `BENCH_dsl.json` artifact).
-pub fn bench_dsl_json(report: &DslBenchReport) -> String {
-    serde_json::to_string_pretty(report).expect("report serializes")
 }
 
 /// Human-readable summary for the repro binary.
@@ -329,7 +344,7 @@ mod tests {
 
     #[test]
     fn report_json_has_the_gate_fields() {
-        let report = run_dsl_bench_with(
+        let report = run_dsl_bench(
             &DslBenchConfig {
                 files: 48,
                 nodes_per_file: 5,
@@ -339,9 +354,36 @@ mod tests {
         assert!(report.diagnostics_roundtrip);
         assert_eq!(report.files, 48);
         assert!(report.recovered_arguments > report.files / 4);
-        let json = bench_dsl_json(&report);
+        let json = crate::report_json(&report);
         assert!(json.contains("\"diagnostics_roundtrip\": true"));
         assert!(json.contains("\"engine_mb_per_s\""));
         assert!(render_report(&report).contains("diagnostics roundtrip: true"));
+    }
+
+    #[test]
+    fn each_gate_trips() {
+        // `speedup` must beat the seed only with idle cores.
+        let config = DslBenchConfig {
+            files: 16,
+            nodes_per_file: 5,
+        };
+        let report = run_dsl_bench(&config, 2);
+        for (host_parallelism, speedup_floor) in [(2, 1.0), (1, 0.3)] {
+            let ok = DslBenchReport {
+                host_parallelism,
+                speedup: speedup_floor,
+                engine_mb_per_s: 2.0,
+                ..report.clone()
+            };
+            crate::tests::assert_each_gate_trips(
+                &ok,
+                gates,
+                &[
+                    ("speedup", |r| r.speedup *= 0.999),
+                    ("engine_mb_per_s", |r| r.engine_mb_per_s *= 0.999),
+                    ("diagnostics_roundtrip", |r| r.diagnostics_roundtrip = false),
+                ],
+            );
+        }
     }
 }

@@ -11,15 +11,15 @@
 //! check per argument for the whole population, the findings shared by
 //! every review, subjects sharded across scoped worker threads.
 //!
-//! [`bench_experiments_json`] emits the comparison as
-//! `BENCH_experiments.json` (via `repro experiments`), with all
-//! engines' reports checked identical (`reports_agree`) — the
+//! [`repro`] emits the comparison as `BENCH_experiments.json`, with
+//! all engines' reports checked identical (`reports_agree`) — the
 //! serial/parallel byte-equality guarantee, measured, not assumed.
 //! `speedup` is the legacy-vs-runtime ratio, mirroring
 //! `BENCH_graph.json` / `BENCH_logic.json`; `thread_speedup` isolates
 //! the scoped-thread contribution (≈1.0 on a single-core host, where
 //! the compile-once machine sweep supplies the whole win).
 
+use crate::{BenchRun, Gate};
 use casekit_experiments::exp_a;
 use casekit_experiments::reviewer::{review, ReviewScope};
 use casekit_experiments::runtime::{stream_rng, Runtime};
@@ -30,26 +30,22 @@ use serde::Serialize;
 /// The scaled-up population: 2 400 subjects (1 200 per arm) reviewing
 /// six seeded arguments each — 14 400 reviews, 7 200 of them in the
 /// machine-checked treatment arm.
-pub fn scaled_config() -> exp_a::Config {
-    exp_a::Config {
-        per_arm: 1200,
-        arguments: 6,
-        hazards: 10,
-        seed: 0x5CA1E,
-    }
-}
+pub const FULL: exp_a::Config = exp_a::Config {
+    per_arm: 1200,
+    arguments: 6,
+    hazards: 10,
+    seed: 0x5CA1E,
+};
 
-/// The scaled-down population for the CI smoke gate (`--smoke`): same
+/// The scaled-down population for the smoke run (`--smoke`): same
 /// fixed seed, small enough that the whole comparison (legacy loop
 /// included) finishes in seconds.
-pub fn smoke_config() -> exp_a::Config {
-    exp_a::Config {
-        per_arm: 150,
-        arguments: 4,
-        hazards: 8,
-        seed: 0x5CA1E,
-    }
-}
+pub const SMOKE: exp_a::Config = exp_a::Config {
+    per_arm: 150,
+    arguments: 4,
+    hazards: 8,
+    seed: 0x5CA1E,
+};
 
 /// The pre-runtime measurement loop: one subject at a time, and every
 /// treatment review pays a fresh [`check_argument`] compilation instead
@@ -154,18 +150,32 @@ pub struct ExperimentsBenchReport {
     pub reports_agree: bool,
 }
 
-/// Runs the comparison on the scaled population with `workers` threads
-/// for the parallel arm.
-pub fn run_experiments_bench(workers: usize) -> ExperimentsBenchReport {
-    run_experiments_bench_with(&scaled_config(), workers)
+/// The experiments gates. The `speedup` floor sits far below the
+/// measured ratio (~25x at smoke scale). `thread_speedup` compares two
+/// plans over identical work: with idle cores the parallel plan must
+/// win outright; on one core the plans coincide and the floor only
+/// rejects scheduling overhead creeping back in.
+fn gates(r: &ExperimentsBenchReport) -> Vec<Gate> {
+    let thread_floor = if r.host_parallelism > 1 { 1.0 } else { 0.95 };
+    vec![
+        Gate::floor("speedup", r.speedup, 3.0),
+        Gate::flags("reports_agree", &[r.reports_agree]),
+        Gate::floor("thread_speedup", r.thread_speedup, thread_floor),
+    ]
 }
 
-/// Runs the comparison on an explicit population configuration (the
-/// smoke gate passes [`smoke_config`]).
-pub fn run_experiments_bench_with(
-    config: &exp_a::Config,
-    workers: usize,
-) -> ExperimentsBenchReport {
+/// `repro experiments [--smoke]`: the [`FULL`] (or [`SMOKE`])
+/// population at the `RUNTIME_WORKERS` worker count.
+pub fn repro(smoke: bool) -> BenchRun {
+    let config = if smoke { SMOKE } else { FULL };
+    let report = run_experiments_bench(&config, Runtime::from_env().workers);
+    let summary = render_report(&report);
+    BenchRun::finish("experiments", smoke, &report, summary, gates(&report))
+}
+
+/// Runs the comparison on `config` with `workers` threads for the
+/// parallel arm.
+pub fn run_experiments_bench(config: &exp_a::Config, workers: usize) -> ExperimentsBenchReport {
     let config = config.clone();
 
     // Best-of-3 for every arm, legacy included: an asymmetric
@@ -199,11 +209,6 @@ pub fn run_experiments_bench_with(
         thread_speedup: serial_ms / parallel_ms.max(1e-9),
         reports_agree,
     }
-}
-
-/// Renders the report as JSON (the `BENCH_experiments.json` artifact).
-pub fn bench_experiments_json(report: &ExperimentsBenchReport) -> String {
-    serde_json::to_string_pretty(report).expect("report serializes")
 }
 
 /// Human-readable summary for the repro binary.
@@ -248,24 +253,48 @@ mod tests {
         assert_eq!(legacy, parallel);
     }
 
+    const SAMPLE: ExperimentsBenchReport = ExperimentsBenchReport {
+        subjects: 8,
+        arguments: 2,
+        reviews: 16,
+        workers: 4,
+        host_parallelism: 4,
+        legacy_ms: 10.0,
+        serial_ms: 2.0,
+        parallel_ms: 1.0,
+        speedup: 10.0,
+        thread_speedup: 2.0,
+        reports_agree: true,
+    };
+
     #[test]
     fn report_json_has_the_gate_fields() {
-        let report = ExperimentsBenchReport {
-            subjects: 8,
-            arguments: 2,
-            reviews: 16,
-            workers: 4,
-            host_parallelism: 4,
-            legacy_ms: 10.0,
-            serial_ms: 2.0,
-            parallel_ms: 1.0,
-            speedup: 10.0,
-            thread_speedup: 2.0,
-            reports_agree: true,
-        };
-        let json = bench_experiments_json(&report);
+        let report = SAMPLE;
+        let json = crate::report_json(&report);
         assert!(json.contains("\"reports_agree\": true"));
         assert!(json.contains("\"speedup\""));
         assert!(render_report(&report).contains("reports agree: true"));
+    }
+
+    #[test]
+    fn each_gate_trips() {
+        // `thread_speedup` must win outright only with idle cores.
+        for (host_parallelism, thread_floor) in [(4, 1.0), (1, 0.95)] {
+            let ok = ExperimentsBenchReport {
+                host_parallelism,
+                speedup: 3.0,
+                thread_speedup: thread_floor,
+                ..SAMPLE
+            };
+            crate::tests::assert_each_gate_trips(
+                &ok,
+                gates,
+                &[
+                    ("speedup", |r| r.speedup *= 0.999),
+                    ("reports_agree", |r| r.reports_agree = false),
+                    ("thread_speedup", |r| r.thread_speedup *= 0.999),
+                ],
+            );
+        }
     }
 }

@@ -9,8 +9,8 @@
 //! first-argument clause index, bindings-slot trail — so each step
 //! touches only the clauses that can match. [`run_fol_bench`]
 //! cross-checks the two answer-for-answer (same solutions in the same
-//! order, same truncation flag) on every swept query and emits the
-//! comparison as `BENCH_fol.json` (via `repro fol`).
+//! order, same truncation flag) on every swept query; [`repro`] emits
+//! the comparison as `BENCH_fol.json`.
 //!
 //! The sweep uses reachability programs (a `c0 → c1 → …` backbone plus
 //! seeded forward shortcuts, `tag/1` distractor facts, and the two
@@ -21,6 +21,7 @@
 //! derivation is tens of thousands of steps deep, which the seed
 //! engine's call-stack recursion cannot survive.
 
+use crate::{BenchRun, Gate};
 use casekit_logic::fol::{parse_program, parse_query, InternedKb, KnowledgeBase, SolveConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -172,6 +173,33 @@ pub struct FolBenchReport {
     pub chain_truncated: bool,
 }
 
+/// The FOL gates. The floor sits far below the measured ratio (~70x at
+/// smoke scale).
+fn gates(r: &FolBenchReport) -> Vec<Gate> {
+    vec![
+        Gate::floor("speedup", r.speedup, 10.0),
+        Gate::flags("answers_agree", &[r.answers_agree]),
+        Gate::flags("chain_proved", &[r.chain_proved]),
+    ]
+}
+
+/// `repro fol [--smoke]`: sweeps at 200/400/800 constants and a
+/// 30k-deep chain (smoke: 100/200 and 4k).
+pub fn repro(smoke: bool) -> BenchRun {
+    let report = if smoke {
+        run_fol_bench(&[100, 200], 4_000)
+    } else {
+        run_fol_bench(&[200, 400, 800], 30_000)
+    };
+    BenchRun::finish(
+        "fol",
+        smoke,
+        &report,
+        render_report(&report),
+        gates(&report),
+    )
+}
+
 /// Runs the engine comparison: seed-vs-interned sweeps at each of
 /// `sizes` constants (cross-checked answer-for-answer), then the
 /// interned-only deep chain at `chain_n`.
@@ -224,11 +252,6 @@ pub fn run_fol_bench(sizes: &[usize], chain_n: usize) -> FolBenchReport {
         chain_proved: chain_out.succeeded(),
         chain_truncated: chain_out.truncated,
     }
-}
-
-/// Renders the report as JSON (the `BENCH_fol.json` artifact).
-pub fn bench_fol_json(report: &FolBenchReport) -> String {
-    serde_json::to_string_pretty(report).expect("report serializes")
 }
 
 /// Human-readable summary for the repro binary.
@@ -315,13 +338,25 @@ mod tests {
         assert_eq!(report.chain_n, 300);
         assert!(report.chain_proved);
         assert!(!report.chain_truncated);
-        let json = bench_fol_json(&report);
+        let json = crate::report_json(&report);
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"answers_agree\": true"));
         assert!(json.contains("\"chain_proved\": true"));
-        // The gate reads the FIRST "speedup" in the file: it must be the
-        // report-level one, ahead of any per-point speedup.
-        assert!(json.find("\"speedup\"").unwrap() < json.find("\"sweep\"").unwrap());
         assert!(render_report(&report).contains("answers agree: true"));
+    }
+
+    #[test]
+    fn each_gate_trips() {
+        let mut ok = run_fol_bench(&[16], 300);
+        ok.speedup = 10.0;
+        crate::tests::assert_each_gate_trips(
+            &ok,
+            gates,
+            &[
+                ("speedup", |r| r.speedup *= 0.999),
+                ("answers_agree", |r| r.answers_agree = false),
+                ("chain_proved", |r| r.chain_proved = false),
+            ],
+        );
     }
 }

@@ -7,9 +7,10 @@
 //! list — O(V·E) for any whole-graph check. The arena/CSR core makes the
 //! same sweep O(V+E). [`FlatBaseline`] reproduces the old access pattern
 //! faithfully so the speedup stays measurable after the old code is
-//! gone, and [`bench_graph_json`] emits the comparison as a JSON artifact
-//! (`BENCH_graph.json` via `repro graph`).
+//! gone, and [`repro`] emits the comparison as a JSON artifact
+//! (`BENCH_graph.json`).
 
+use crate::{BenchRun, Gate};
 use casekit_core::{Argument, EdgeKind, NodeId, NodeKind};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -218,6 +219,28 @@ pub struct GraphBenchReport {
     pub sweeps_agree: bool,
 }
 
+/// The graph gates. The floor sits far below the measured ratio (~1700x
+/// at smoke scale) so it trips on regressions, not noise.
+fn gates(r: &GraphBenchReport) -> Vec<Gate> {
+    vec![
+        Gate::floor("speedup", r.speedup, 50.0),
+        Gate::flags("sweeps_agree", &[r.sweeps_agree]),
+    ]
+}
+
+/// `repro graph [--smoke]`: the sweep comparison on a 10k-node argument
+/// (smoke: 2k).
+pub fn repro(smoke: bool) -> BenchRun {
+    let report = run_graph_bench(if smoke { 2_000 } else { 10_000 });
+    BenchRun::finish(
+        "graph",
+        smoke,
+        &report,
+        render_report(&report),
+        gates(&report),
+    )
+}
+
 /// Runs the comparison on a synthetic argument of `target_nodes` nodes.
 pub fn run_graph_bench(target_nodes: usize) -> GraphBenchReport {
     let argument = synthetic_argument(target_nodes);
@@ -243,11 +266,6 @@ pub fn run_graph_bench(target_nodes: usize) -> GraphBenchReport {
         speedup: legacy_sweep_ms / indexed_sweep_ms.max(1e-9),
         sweeps_agree: legacy == indexed,
     }
-}
-
-/// Renders the report as JSON (the `BENCH_graph.json` artifact).
-pub fn bench_graph_json(report: &GraphBenchReport) -> String {
-    serde_json::to_string_pretty(report).expect("report serializes")
 }
 
 /// Human-readable summary for the repro binary.
@@ -311,8 +329,22 @@ mod tests {
             "expected >=10x even at 2k nodes, measured {:.1}x",
             report.speedup
         );
-        let json = bench_graph_json(&report);
+        let json = crate::report_json(&report);
         assert!(json.contains("\"speedup\""));
         assert!(render_report(&report).contains("speedup"));
+    }
+
+    #[test]
+    fn each_gate_trips() {
+        let mut ok = run_graph_bench(300);
+        ok.speedup = 50.0;
+        crate::tests::assert_each_gate_trips(
+            &ok,
+            gates,
+            &[
+                ("speedup", |r| r.speedup *= 0.999),
+                ("sweeps_agree", |r| r.sweeps_agree = false),
+            ],
+        );
     }
 }

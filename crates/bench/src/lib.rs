@@ -1,9 +1,13 @@
 //! # casekit-bench
 //!
 //! The reproduction harness: renderers for every table and figure of
-//! Graydon (DSN 2015), shared by the `repro` binary and the Criterion
-//! benches. The README's "Reproduction artifacts" section lists every
-//! artifact and the command that regenerates it.
+//! Graydon (DSN 2015) and the nine benchmark artifacts, shared by the
+//! `repro` binary and the Criterion benches. Each benchmark module owns
+//! its artifact: a `repro(smoke)` entry that picks the sizes, runs the
+//! benchmark, writes the JSON and checks the module's `gates` table
+//! against the typed report (see [`BenchRun`]). The README's
+//! "Reproduction artifacts" section lists every artifact and the
+//! command that regenerates it.
 
 #![forbid(unsafe_code)]
 
@@ -186,129 +190,200 @@ pub fn experiment_e() -> String {
         .render()
 }
 
-/// Runs the graph-core sweep comparison (10k-node synthetic argument)
-/// and renders the summary. The JSON artifact is written by `repro
-/// graph`.
-pub fn graph_bench() -> String {
-    let report = graph::run_graph_bench(10_000);
-    graph::render_report(&report)
+/// A `repro` name and the function that renders that section.
+pub type Section = (&'static str, fn() -> String);
+
+/// A `repro` name and the entry function of that benchmark artifact.
+pub type Bench = (&'static str, fn(bool) -> BenchRun);
+
+/// The paper's tables, figures and experiments, in `repro all` order.
+pub const SECTIONS: [Section; 10] = [
+    ("table1", table_i),
+    ("claims", claims_summary),
+    ("figure1", figure_1),
+    ("haley", haley_proof),
+    ("greenwell", greenwell_table),
+    ("exp-a", experiment_a),
+    ("exp-b", experiment_b),
+    ("exp-c", experiment_c),
+    ("exp-d", experiment_d),
+    ("exp-e", experiment_e),
+];
+
+/// The nine benchmark artifacts, in `repro all` order.
+pub const BENCHES: [Bench; 9] = [
+    ("graph", graph::repro),
+    ("logic", logic::repro),
+    ("af", af::repro),
+    ("fol", fol::repro),
+    ("ltl", ltl::repro),
+    ("experiments", experiments::repro),
+    ("lint", lint::repro),
+    ("service", service::repro),
+    ("dsl", dsl::repro),
+];
+
+/// One gate on one field of a benchmark report, already evaluated.
+/// Each artifact module lists its gates in a `gates` table next to its
+/// report struct.
+#[derive(Debug)]
+pub(crate) struct Gate {
+    /// The report key the gate reads, as named in the JSON artifact.
+    pub(crate) key: &'static str,
+    /// The value read and the bound it must meet, as printed.
+    pub(crate) reading: String,
+    /// Whether the value meets its bound.
+    pub(crate) passed: bool,
+    /// Speed floors gate smoke runs only; agreement flags and
+    /// completion counts gate every run.
+    pub(crate) smoke_only: bool,
 }
 
-/// Runs the logic-core batch entailment comparison (120-theory seeded
-/// population plus the full hard-instance population) and renders the
-/// summary. The JSON artifact is written by `repro logic`.
-pub fn logic_bench() -> String {
-    let report = logic::run_logic_bench(120, &logic::hard_population_full());
-    logic::render_report(&report)
-}
-
-/// Runs the argumentation-framework engine comparison (subset
-/// enumeration vs SAT labelling vs SCC decomposition, plus the
-/// grounded chain, the SAT-path sizes, and a cross-checked decomposed
-/// scenario) and renders the summary. The JSON artifact — including
-/// the 10^4/10^5 decomposed-only scenarios — is written by `repro af`.
-pub fn af_bench() -> String {
-    let report = af::run_af_bench(12, 6, 300, &[12, 50, 200, 1000], &[2_000], 2_000);
-    af::render_report(&report)
-}
-
-/// Runs the FOL resolution comparison (seed clause-scan engine vs the
-/// interned first-argument-indexed engine on seeded reachability
-/// programs, cross-checked answer-for-answer, plus the interned-only
-/// deep chain) and renders the summary. The JSON artifact is written by
-/// `repro fol`.
-pub fn fol_bench() -> String {
-    let report = fol::run_fol_bench(&[200, 400, 800], 30_000);
-    fol::render_report(&report)
-}
-
-/// Runs the LTL bounded-checking comparison (seed trace checker vs the
-/// CSR closure-table checker on seeded ring-with-chords structures,
-/// cross-checked result-for-result, plus the CSR-only deep point) and
-/// renders the summary. The JSON artifact is written by `repro ltl`.
-pub fn ltl_bench() -> String {
-    let report = ltl::run_ltl_bench(&[(10, 30, 10), (12, 36, 11)], (14, 42, 12));
-    ltl::render_report(&report)
-}
-
-/// Runs the CaseLint comparison (full lint-pass set over the synthetic
-/// defect corpus, recompile-per-lint vs compile-once sweep) and renders
-/// the summary. The JSON artifact is written by `repro lint`.
-pub fn lint_bench() -> String {
-    let report = lint::run_lint_bench(experiments_bench_workers());
-    lint::render_report(&report)
-}
-
-/// Runs the CaseService comparison (a fleet of live cases under mixed
-/// edit/query traffic, recompile-per-query vs incremental sessions)
-/// and renders the summary. The JSON artifact is written by `repro
-/// service`.
-pub fn service_bench() -> String {
-    let report = service::run_service_bench(experiments_bench_workers());
-    service::render_report(&report)
-}
-
-/// Runs the DSL-frontend comparison (sharded recover-and-continue
-/// corpus ingestion vs the serial abort-on-first-error seed parser on a
-/// defect-striped 10k-file corpus) and renders the summary. The JSON
-/// artifact is written by `repro dsl`.
-pub fn dsl_bench() -> String {
-    let report = dsl::run_dsl_bench(experiments_bench_workers());
-    dsl::render_report(&report)
-}
-
-/// Runs the experiment-runtime comparison (scaled §VI-A population,
-/// legacy vs cached-serial vs parallel) and renders the summary. The
-/// JSON artifact is written by `repro experiments`.
-pub fn experiments_bench() -> String {
-    let report = experiments::run_experiments_bench(experiments_bench_workers());
-    experiments::render_report(&report)
-}
-
-/// Worker count for the parallel arm: an explicit `RUNTIME_WORKERS`
-/// pin is honored exactly (so a 1- or 2-worker measurement answers the
-/// question that was asked); otherwise every available core — and
-/// *only* the available cores. The old `.max(4)` floor here was the
-/// `thread_speedup: 0.855` regression: four threads time-slicing one
-/// core is pure spawn/join overhead, and a speedup above 1 is only
-/// honest when the host actually has idle cores to farm to.
-pub fn experiments_bench_workers() -> usize {
-    Runtime::pinned_from_env().unwrap_or_else(Runtime::host_parallelism)
-}
-
-/// Every artefact, concatenated (the `repro all` output).
-pub fn all() -> String {
-    let mut out = String::new();
-    for section in [
-        table_i(),
-        claims_summary(),
-        figure_1(),
-        haley_proof(),
-        greenwell_table(),
-        experiment_a(),
-        experiment_b(),
-        experiment_c(),
-        experiment_d(),
-        experiment_e(),
-        graph_bench(),
-        logic_bench(),
-        af_bench(),
-        fol_bench(),
-        ltl_bench(),
-        experiments_bench(),
-        lint_bench(),
-        service_bench(),
-        dsl_bench(),
-    ] {
-        out.push_str(&section);
-        out.push('\n');
+impl Gate {
+    /// Agreement flags: every one must be true.
+    pub(crate) fn flags(key: &'static str, flags: &[bool]) -> Self {
+        let trues = flags.iter().filter(|&&f| f).count();
+        let reading = format!("{trues} of {} true", flags.len());
+        Gate::new(key, reading, trues == flags.len(), false)
     }
-    out
+
+    /// A completion count that must equal its configured value.
+    pub(crate) fn equals(key: &'static str, value: usize, expected: usize) -> Self {
+        let reading = format!("{value} (configured {expected})");
+        Gate::new(key, reading, value == expected, false)
+    }
+
+    /// A speed floor: `value >= floor`.
+    pub(crate) fn floor(key: &'static str, value: f64, floor: f64) -> Self {
+        let reading = format!("{value} (floor {floor})");
+        Gate::new(key, reading, value >= floor, true)
+    }
+
+    fn new(key: &'static str, reading: String, passed: bool, smoke_only: bool) -> Self {
+        Gate {
+            key,
+            reading,
+            passed,
+            smoke_only,
+        }
+    }
+}
+
+/// What one benchmark artifact produced: the file it wrote, its
+/// summary, and the gates that apply to the run.
+#[derive(Debug)]
+pub struct BenchRun {
+    /// The artifact written: `BENCH_<name>.json`, or
+    /// `BENCH_<name>.smoke.json` for a smoke run.
+    pub(crate) path: String,
+    /// The human-readable summary.
+    pub summary: String,
+    /// Agreement and completion gates always; speed floors on smoke
+    /// runs only.
+    pub(crate) gates: Vec<Gate>,
+}
+
+impl BenchRun {
+    /// Writes `report` as artifact `name` and keeps the gates that
+    /// apply to this run.
+    pub(crate) fn finish<R: serde::Serialize>(
+        name: &str,
+        smoke: bool,
+        report: &R,
+        summary: String,
+        mut gates: Vec<Gate>,
+    ) -> Self {
+        let path = format!("BENCH_{name}{}.json", if smoke { ".smoke" } else { "" });
+        // A failed write only warns: the summary still prints.
+        match std::fs::write(&path, report_json(report)) {
+            Ok(()) => eprintln!("wrote {path}"),
+            Err(e) => eprintln!("warning: could not write {path}: {e}"),
+        }
+        gates.retain(|g| smoke || !g.smoke_only);
+        BenchRun {
+            path,
+            summary,
+            gates,
+        }
+    }
+
+    /// How many gates failed.
+    pub fn failures(&self) -> usize {
+        self.gates.iter().filter(|g| !g.passed).count()
+    }
+
+    /// One `ok`/`FAIL` line per gate.
+    pub fn gate_lines(&self) -> String {
+        let mut out = String::new();
+        for g in &self.gates {
+            let verdict = if g.passed { "ok  " } else { "FAIL" };
+            let _ = writeln!(out, "  {verdict}  {} {} = {}", self.path, g.key, g.reading);
+        }
+        out
+    }
+}
+
+/// A report as its pretty-printed JSON artifact.
+pub(crate) fn report_json<R: serde::Serialize>(report: &R) -> String {
+    serde_json::to_string_pretty(report).expect("report serializes")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// A gate key and a function that breaks that gate's field.
+    pub(crate) type Breaker<R> = (&'static str, fn(&mut R));
+
+    /// Asserts that every gate on `ok` passes, that the breakers cover
+    /// every gate in the table, and that each breaker, applied to a
+    /// copy of `ok`, fails exactly the gate it names.
+    pub(crate) fn assert_each_gate_trips<R: Clone>(
+        ok: &R,
+        gates: impl Fn(&R) -> Vec<Gate>,
+        breakers: &[Breaker<R>],
+    ) {
+        let table = gates(ok);
+        let failing: Vec<&Gate> = table.iter().filter(|g| !g.passed).collect();
+        assert!(failing.is_empty(), "baseline fails {failing:?}");
+        let keys: BTreeSet<&str> = table.iter().map(|g| g.key).collect();
+        let covered: BTreeSet<&str> = breakers.iter().map(|b| b.0).collect();
+        assert_eq!(keys, covered, "one breaker per gate");
+        for (key, brk) in breakers {
+            let mut bad = ok.clone();
+            brk(&mut bad);
+            let failed: Vec<&str> = gates(&bad)
+                .iter()
+                .filter(|g| !g.passed)
+                .map(|g| g.key)
+                .collect();
+            assert_eq!(failed, [*key], "breaking {key}");
+        }
+    }
+
+    #[test]
+    fn floors_gate_smoke_runs_only_and_lines_name_value_and_bound() {
+        let run = BenchRun {
+            path: "BENCH_x.smoke.json".into(),
+            summary: String::new(),
+            gates: vec![
+                Gate::floor("speedup", 9.63, 10.0),
+                Gate::flags("answers_agree", &[true, true]),
+                Gate::equals("scc_largest_n", 2_000, 20_000),
+            ],
+        };
+        let smoke_only: Vec<bool> = run.gates.iter().map(|g| g.smoke_only).collect();
+        assert_eq!(smoke_only, [true, false, false]);
+        assert_eq!(
+            run.gate_lines(),
+            concat!(
+                "  FAIL  BENCH_x.smoke.json speedup = 9.63 (floor 10)\n",
+                "  ok    BENCH_x.smoke.json answers_agree = 2 of 2 true\n",
+                "  FAIL  BENCH_x.smoke.json scc_largest_n = 2000 (configured 20000)\n",
+            )
+        );
+    }
 
     #[test]
     fn table_i_renders_published_numbers() {

@@ -15,13 +15,14 @@
 //! reusing models across questions), sharded across `casekit-runtime`
 //! workers.
 //!
-//! `bench_lint_json` emits the comparison as `BENCH_lint.json` (via
-//! `repro lint`), with the diagnostic streams of every engine and every
-//! worker count checked identical (`diagnostics_agree`) — determinism
+//! [`repro`] emits the comparison as `BENCH_lint.json`, with the
+//! diagnostic streams of every engine and every worker count checked
+//! identical (`diagnostics_agree`) — determinism
 //! measured, not assumed. `speedup` is naive/parallel;
 //! `thread_speedup` isolates the worker contribution (≈1.0 on a
 //! single-core host, where compile-once supplies the whole win).
 
+use crate::{BenchRun, Gate};
 use casekit_analysis::{baseline, lint_argument, Diagnostic, LintConfig};
 use casekit_core::dsl::parse_argument;
 use casekit_runtime::Runtime;
@@ -42,23 +43,19 @@ pub struct LintBenchConfig {
 }
 
 /// The full-scale corpus behind the committed `BENCH_lint.json`.
-pub fn scaled_config() -> LintBenchConfig {
-    LintBenchConfig {
-        arguments: 120,
-        premises: 5,
-        width: 16,
-    }
-}
+pub const FULL: LintBenchConfig = LintBenchConfig {
+    arguments: 120,
+    premises: 5,
+    width: 16,
+};
 
-/// The CI smoke corpus (`repro lint --smoke`): small enough to finish
+/// The smoke corpus (`repro lint --smoke`): small enough to finish
 /// in seconds, large enough that the compile-once ratio is stable.
-pub fn smoke_config() -> LintBenchConfig {
-    LintBenchConfig {
-        arguments: 30,
-        premises: 3,
-        width: 18,
-    }
-}
+pub const SMOKE: LintBenchConfig = LintBenchConfig {
+    arguments: 30,
+    premises: 3,
+    width: 18,
+};
 
 /// Atom `j` of premise `i`'s chain. Descriptive names, as real
 /// formalised cases carry ("`hazard_h7_mitigation_verified`", not
@@ -223,14 +220,33 @@ pub struct LintBenchReport {
     pub diagnostics_agree: bool,
 }
 
-/// Runs the comparison on the full-scale corpus.
-pub fn run_lint_bench(workers: usize) -> LintBenchReport {
-    run_lint_bench_with(&scaled_config(), workers)
+/// The lint gates: the engine must beat one tool per lint by the 10x
+/// acceptance floor, with byte-identical diagnostics across the naive
+/// loop, the serial engine and every probed worker count.
+fn gates(r: &LintBenchReport) -> Vec<Gate> {
+    vec![
+        Gate::floor("speedup", r.speedup, 10.0),
+        Gate::flags("diagnostics_agree", &[r.diagnostics_agree]),
+    ]
 }
 
-/// Runs the comparison on an explicit corpus shape (the smoke gate
-/// passes [`smoke_config`]).
-pub fn run_lint_bench_with(config: &LintBenchConfig, workers: usize) -> LintBenchReport {
+/// `repro lint [--smoke]`: the [`FULL`] (or [`SMOKE`]) corpus at the
+/// `RUNTIME_WORKERS` worker count.
+pub fn repro(smoke: bool) -> BenchRun {
+    let config = if smoke { SMOKE } else { FULL };
+    let report = run_lint_bench(&config, Runtime::from_env().workers);
+    BenchRun::finish(
+        "lint",
+        smoke,
+        &report,
+        render_report(&report),
+        gates(&report),
+    )
+}
+
+/// Runs the comparison on `config` with `workers` threads for the
+/// parallel arm.
+pub fn run_lint_bench(config: &LintBenchConfig, workers: usize) -> LintBenchReport {
     let sources = lint_corpus(config);
     let lint_config = LintConfig::new();
 
@@ -264,11 +280,6 @@ pub fn run_lint_bench_with(config: &LintBenchConfig, workers: usize) -> LintBenc
         thread_speedup: serial_ms / parallel_ms.max(1e-9),
         diagnostics_agree,
     }
-}
-
-/// Renders the report as JSON (the `BENCH_lint.json` artifact).
-pub fn bench_lint_json(report: &LintBenchReport) -> String {
-    serde_json::to_string_pretty(report).expect("report serializes")
 }
 
 /// Human-readable summary for the repro binary.
@@ -334,26 +345,44 @@ mod tests {
         }
     }
 
+    const SAMPLE: LintBenchReport = LintBenchReport {
+        arguments: 8,
+        premises_per_argument: 3,
+        chain_width: 2,
+        source_bytes: 4096,
+        diagnostics: 12,
+        workers: 4,
+        host_parallelism: 4,
+        naive_ms: 10.0,
+        serial_ms: 1.0,
+        parallel_ms: 0.9,
+        speedup: 11.1,
+        thread_speedup: 1.1,
+        diagnostics_agree: true,
+    };
+
     #[test]
     fn report_json_has_the_gate_fields() {
-        let report = LintBenchReport {
-            arguments: 8,
-            premises_per_argument: 3,
-            chain_width: 2,
-            source_bytes: 4096,
-            diagnostics: 12,
-            workers: 4,
-            host_parallelism: 4,
-            naive_ms: 10.0,
-            serial_ms: 1.0,
-            parallel_ms: 0.9,
-            speedup: 11.1,
-            thread_speedup: 1.1,
-            diagnostics_agree: true,
-        };
-        let json = bench_lint_json(&report);
+        let report = SAMPLE;
+        let json = crate::report_json(&report);
         assert!(json.contains("\"diagnostics_agree\": true"));
         assert!(json.contains("\"speedup\""));
         assert!(render_report(&report).contains("diagnostics agree: true"));
+    }
+
+    #[test]
+    fn each_gate_trips() {
+        let ok = LintBenchReport {
+            speedup: 10.0,
+            ..SAMPLE
+        };
+        crate::tests::assert_each_gate_trips(
+            &ok,
+            gates,
+            &[
+                ("speedup", |r| r.speedup *= 0.999),
+                ("diagnostics_agree", |r| r.diagnostics_agree = false),
+            ],
+        );
     }
 }

@@ -11,10 +11,11 @@
 //! [`legacy`] solver, so the speedup stays
 //! measurable after the hot path moved on. [`interned_sweep`] is the
 //! replacement: one [`ArgumentTheory`] compilation per argument, every
-//! question an assume/check/retract round. [`bench_logic_json`] emits
-//! the comparison as `BENCH_logic.json` (via `repro logic`), with both
-//! engines' verdicts checked identical.
+//! question an assume/check/retract round. [`repro`] emits the
+//! comparison as `BENCH_logic.json`, with both engines' verdicts
+//! checked identical.
 
+use crate::{BenchRun, Gate};
 use casekit_core::semantics::{formal_conclusion, formal_premises, ArgumentTheory};
 use casekit_core::{Argument, EdgeKind, FormalPayload, NodeIdx, NodeKind};
 use casekit_experiments::generator::{generate, GeneratorConfig, SeededFormal};
@@ -423,6 +424,34 @@ pub struct LogicBenchReport {
     pub hard: HardBenchReport,
 }
 
+/// The logic gates. Floors sit far below the measured ratios (sweep
+/// ~130x, hard CDCL-vs-DPLL ~3.5x at smoke scale); `verdicts_agree`
+/// covers the sweep and the hard population.
+fn gates(r: &LogicBenchReport) -> Vec<Gate> {
+    vec![
+        Gate::floor("speedup", r.speedup, 10.0),
+        Gate::floor("dpll_over_cdcl", r.hard.dpll_over_cdcl, 2.0),
+        Gate::flags("verdicts_agree", &[r.verdicts_agree, r.hard.verdicts_agree]),
+    ]
+}
+
+/// `repro logic [--smoke]`: the sweep over 120 seeded theories and the
+/// full hard population (smoke: 24 theories, the smoke population).
+pub fn repro(smoke: bool) -> BenchRun {
+    let report = if smoke {
+        run_logic_bench(24, &hard_population_smoke())
+    } else {
+        run_logic_bench(120, &hard_population_full())
+    };
+    BenchRun::finish(
+        "logic",
+        smoke,
+        &report,
+        render_report(&report),
+        gates(&report),
+    )
+}
+
 /// Runs the comparison over a seeded population of `count` arguments
 /// plus the given hard-instance population.
 pub fn run_logic_bench(count: usize, hard_population: &[HardInstance]) -> LogicBenchReport {
@@ -455,11 +484,6 @@ pub fn run_logic_bench(count: usize, hard_population: &[HardInstance]) -> LogicB
         verdicts_agree: legacy_verdicts == interned_verdicts,
         hard: run_hard_bench(hard_population),
     }
-}
-
-/// Renders the report as JSON (the `BENCH_logic.json` artifact).
-pub fn bench_logic_json(report: &LogicBenchReport) -> String {
-    serde_json::to_string_pretty(report).expect("report serializes")
 }
 
 /// Human-readable summary for the repro binary.
@@ -534,10 +558,28 @@ mod tests {
         assert!(report.hard.verdicts_agree);
         assert_eq!(report.population, 6);
         assert!(report.queries > report.population);
-        let json = bench_logic_json(&report);
+        let json = crate::report_json(&report);
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"dpll_over_cdcl\""));
         assert!(render_report(&report).contains("verdicts agree: true"));
+    }
+
+    #[test]
+    fn each_gate_trips() {
+        let tiny_hard = vec![hard_instance(5, 3, false), hard_instance(5, 3, true)];
+        let mut ok = run_logic_bench(3, &tiny_hard);
+        ok.speedup = 10.0;
+        ok.hard.dpll_over_cdcl = 2.0;
+        crate::tests::assert_each_gate_trips(
+            &ok,
+            gates,
+            &[
+                ("speedup", |r| r.speedup *= 0.999),
+                ("dpll_over_cdcl", |r| r.hard.dpll_over_cdcl *= 0.999),
+                ("verdicts_agree", |r| r.verdicts_agree = false),
+                ("verdicts_agree", |r| r.hard.verdicts_agree = false),
+            ],
+        );
     }
 
     #[test]

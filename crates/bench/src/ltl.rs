@@ -10,8 +10,8 @@
 //! and the formula to a hash-consed node arena, then evaluates each
 //! lasso with a closure table of boolean rows. Both visit lassos in the
 //! same order, so [`run_ltl_bench`] can cross-check them
-//! result-for-result, counterexample paths included, and emit the
-//! comparison as `BENCH_ltl.json` (via `repro ltl`).
+//! result-for-result, counterexample paths included; [`repro`] emits
+//! the comparison as `BENCH_ltl.json`.
 //!
 //! The generated structures are ring backbones (so every state stays
 //! live and lassos exist at every depth) with seeded chord edges for
@@ -19,6 +19,7 @@
 //!
 //! [`Trace`]: casekit_logic::ltl::Trace
 
+use crate::{BenchRun, Gate};
 use casekit_logic::ltl::{parse_ltl, CheckResult, CompiledLtl, CsrKripke, Kripke, Ltl};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -153,6 +154,32 @@ pub struct LtlBenchReport {
     pub large_violations: usize,
 }
 
+/// The LTL gates. The floor sits far below the measured ratio (~17x at
+/// smoke scale).
+fn gates(r: &LtlBenchReport) -> Vec<Gate> {
+    vec![
+        Gate::floor("speedup", r.speedup, 10.0),
+        Gate::flags("answers_agree", &[r.answers_agree]),
+    ]
+}
+
+/// `repro ltl [--smoke]`: the cross-checked `(states, chords, bound)`
+/// points, then the CSR-only deep point.
+pub fn repro(smoke: bool) -> BenchRun {
+    let report = if smoke {
+        run_ltl_bench(&[(10, 30, 9)], (12, 36, 10))
+    } else {
+        run_ltl_bench(&[(10, 30, 10), (12, 36, 11)], (14, 42, 12))
+    };
+    BenchRun::finish(
+        "ltl",
+        smoke,
+        &report,
+        render_report(&report),
+        gates(&report),
+    )
+}
+
 /// Runs the checker comparison: naive-vs-CSR sweeps at each
 /// `(states, chords, bound)` point (cross-checked result-for-result),
 /// then the CSR-only deep scenario at `large`.
@@ -200,11 +227,6 @@ pub fn run_ltl_bench(
         large_ms,
         large_violations: large_verdicts.iter().filter(|r| !r.holds()).count(),
     }
-}
-
-/// Renders the report as JSON (the `BENCH_ltl.json` artifact).
-pub fn bench_ltl_json(report: &LtlBenchReport) -> String {
-    serde_json::to_string_pretty(report).expect("report serializes")
 }
 
 /// Human-readable summary for the repro binary.
@@ -276,12 +298,23 @@ mod tests {
             assert_eq!(s.formulas, formula_family().len());
         }
         assert_eq!(report.large_states, 8);
-        let json = bench_ltl_json(&report);
+        let json = crate::report_json(&report);
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"answers_agree\": true"));
-        // The gate reads the FIRST "speedup" in the file: it must be the
-        // report-level one, ahead of any per-point speedup.
-        assert!(json.find("\"speedup\"").unwrap() < json.find("\"sweep\"").unwrap());
         assert!(render_report(&report).contains("answers agree: true"));
+    }
+
+    #[test]
+    fn each_gate_trips() {
+        let mut ok = run_ltl_bench(&[(4, 2, 5)], (6, 3, 5));
+        ok.speedup = 10.0;
+        crate::tests::assert_each_gate_trips(
+            &ok,
+            gates,
+            &[
+                ("speedup", |r| r.speedup *= 0.999),
+                ("answers_agree", |r| r.answers_agree = false),
+            ],
+        );
     }
 }

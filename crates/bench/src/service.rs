@@ -17,15 +17,16 @@
 //! repeat queries free — with the per-case streams sharded across
 //! `casekit-runtime` workers.
 //!
-//! `bench_service_json` emits the comparison as `BENCH_service.json`
-//! (via `repro service`), with every incremental answer cross-checked
-//! against a fresh batch compilation (`answers_agree`) — at every
+//! [`repro`] emits the comparison as `BENCH_service.json`, with every
+//! incremental answer cross-checked against a fresh batch compilation
+//! (`answers_agree`) — at every
 //! step of every stream, for worker counts 1, 2, and the full fleet —
 //! so the speedup is earned on verdict-identical output. `speedup` is
 //! baseline/parallel; `thread_speedup` isolates the worker
 //! contribution (≈1.0 on a single-core host, where the session reuse
 //! supplies the whole win).
 
+use crate::{BenchRun, Gate};
 use casekit_core::dsl::parse_argument;
 use casekit_core::{Argument, FormalPayload, Node, NodeKind};
 use casekit_logic::prop::parse;
@@ -51,26 +52,22 @@ pub struct ServiceBenchConfig {
 
 /// The full-scale workload behind the committed `BENCH_service.json`:
 /// thousands of live cases.
-pub fn scaled_config() -> ServiceBenchConfig {
-    ServiceBenchConfig {
-        cases: 2_000,
-        premises: 4,
-        width: 6,
-        rounds: 6,
-    }
-}
+pub const FULL: ServiceBenchConfig = ServiceBenchConfig {
+    cases: 2_000,
+    premises: 4,
+    width: 6,
+    rounds: 6,
+};
 
-/// The CI smoke workload (`repro service --smoke`): small enough to
+/// The smoke workload (`repro service --smoke`): small enough to
 /// finish in seconds, mixed enough that every op class and every
 /// session cache is exercised.
-pub fn smoke_config() -> ServiceBenchConfig {
-    ServiceBenchConfig {
-        cases: 60,
-        premises: 3,
-        width: 10,
-        rounds: 5,
-    }
-}
+pub const SMOKE: ServiceBenchConfig = ServiceBenchConfig {
+    cases: 60,
+    premises: 3,
+    width: 10,
+    rounds: 5,
+};
 
 /// Builds the corpus the traffic runs over. Every case is a two-level
 /// deduction: the top claim (the conjunction of every branch's chain
@@ -278,14 +275,33 @@ pub struct ServiceBenchReport {
     pub answers_agree: bool,
 }
 
-/// Runs the comparison on the full-scale workload.
-pub fn run_service_bench(workers: usize) -> ServiceBenchReport {
-    run_service_bench_with(&scaled_config(), workers)
+/// The service gates: live sessions must beat recompile-per-query by
+/// the 5x acceptance floor, with every incremental answer equal to a
+/// fresh batch compilation at worker counts 1, 2 and the full fleet.
+fn gates(r: &ServiceBenchReport) -> Vec<Gate> {
+    vec![
+        Gate::floor("speedup", r.speedup, 5.0),
+        Gate::flags("answers_agree", &[r.answers_agree]),
+    ]
 }
 
-/// Runs the comparison on an explicit workload shape (the smoke gate
-/// passes [`smoke_config`]).
-pub fn run_service_bench_with(config: &ServiceBenchConfig, workers: usize) -> ServiceBenchReport {
+/// `repro service [--smoke]`: the [`FULL`] (or [`SMOKE`]) fleet at the
+/// `RUNTIME_WORKERS` worker count.
+pub fn repro(smoke: bool) -> BenchRun {
+    let config = if smoke { SMOKE } else { FULL };
+    let report = run_service_bench(&config, Runtime::from_env().workers);
+    BenchRun::finish(
+        "service",
+        smoke,
+        &report,
+        render_report(&report),
+        gates(&report),
+    )
+}
+
+/// Runs the comparison on `config` with `workers` threads for the
+/// parallel arm.
+pub fn run_service_bench(config: &ServiceBenchConfig, workers: usize) -> ServiceBenchReport {
     let corpus = service_corpus(config);
     let traffic = service_traffic(config);
     let lint_config = casekit_analysis::LintConfig::new();
@@ -341,11 +357,6 @@ pub fn run_service_bench_with(config: &ServiceBenchConfig, workers: usize) -> Se
         full_rebuilds: stats.iter().map(|s| s.full_rebuilds).sum(),
         answers_agree,
     }
-}
-
-/// Renders the report as JSON (the `BENCH_service.json` artifact).
-pub fn bench_service_json(report: &ServiceBenchReport) -> String {
-    serde_json::to_string_pretty(report).expect("report serializes")
 }
 
 /// Human-readable summary for the repro binary.
@@ -428,13 +439,27 @@ mod tests {
 
     #[test]
     fn report_json_has_the_gate_fields() {
-        let report = run_service_bench_with(&tiny(), 2);
+        let report = run_service_bench(&tiny(), 2);
         assert!(report.answers_agree);
         assert!(report.steps_reused > 0);
         assert!(report.cached_answers > 0);
-        let json = bench_service_json(&report);
+        let json = crate::report_json(&report);
         assert!(json.contains("\"answers_agree\": true"));
         assert!(json.contains("\"speedup\""));
         assert!(render_report(&report).contains("answers agree: true"));
+    }
+
+    #[test]
+    fn each_gate_trips() {
+        let mut ok = run_service_bench(&tiny(), 2);
+        ok.speedup = 5.0;
+        crate::tests::assert_each_gate_trips(
+            &ok,
+            gates,
+            &[
+                ("speedup", |r| r.speedup *= 0.999),
+                ("answers_agree", |r| r.answers_agree = false),
+            ],
+        );
     }
 }

@@ -8,7 +8,7 @@
 //! system itself enforces the paper's §IV-C claim that machine checking
 //! cannot return informal-fallacy findings.
 
-use crate::formal;
+use crate::formal::{self, SolverOracle};
 use crate::taxonomy::FormalFallacy;
 use casekit_core::semantics::{formal_conclusion, formal_premises, ArgumentTheory};
 use casekit_core::{Argument, NodeId};
@@ -121,6 +121,7 @@ fn check_compiled(argument: &Argument, theory: &mut ArgumentTheory) -> MachineRe
             if let Some(conclusion_lit) = theory.conclusion_lit() {
                 for finding in formal::detect_all_compiled(
                     theory.theory_mut(),
+                    &mut SolverOracle,
                     premise_lits,
                     conclusion_lit,
                     &premises,

@@ -153,31 +153,13 @@ pub fn detect_all<B: Borrow<Formula>>(premises: &[B], conclusion: &Formula) -> V
 
 /// [`detect_all`] against formulas *already compiled* into `theory`:
 /// `premise_lits`/`conclusion_lit` must be the compiled equivalents of
-/// `premises`/`conclusion` (in the same order). Used by the machine
-/// checker to reuse the one-per-argument `ArgumentTheory` compilation
-/// instead of Tseitin-compiling every payload a second time.
+/// `premises`/`conclusion` (in the same order). The machine checker
+/// uses it to reuse the one-per-argument `ArgumentTheory` compilation
+/// instead of Tseitin-compiling every payload a second time; CaseLint
+/// and the service pass an `oracle` that carries satisfiability caches
+/// across many questions on the same session. Findings are identical
+/// for every conforming oracle.
 pub fn detect_all_compiled<B: Borrow<Formula>>(
-    theory: &mut Theory,
-    premise_lits: Vec<Lit>,
-    conclusion_lit: Lit,
-    premises: &[B],
-    conclusion: &Formula,
-) -> Vec<Finding> {
-    detect_all_compiled_with(
-        theory,
-        &mut SolverOracle,
-        premise_lits,
-        conclusion_lit,
-        premises,
-        conclusion,
-    )
-}
-
-/// [`detect_all_compiled`] with an explicit [`SatOracle`], for callers
-/// (CaseLint) that carry satisfiability caches across many questions
-/// on the same session. Findings are identical for every conforming
-/// oracle.
-pub fn detect_all_compiled_with<B: Borrow<Formula>>(
     theory: &mut Theory,
     oracle: &mut dyn SatOracle,
     premise_lits: Vec<Lit>,

@@ -329,7 +329,7 @@ impl CaseSession {
                 }
                 let premise_lits = theory.premise_lits();
                 if let Some(conclusion_lit) = theory.conclusion_lit() {
-                    for finding in formal::detect_all_compiled_with(
+                    for finding in formal::detect_all_compiled(
                         theory.theory_mut(),
                         &mut self.pool,
                         premise_lits,
