@@ -217,13 +217,7 @@ fn gates(r: &DslBenchReport) -> Vec<Gate> {
 pub fn repro(smoke: bool) -> BenchRun {
     let config = if smoke { SMOKE } else { FULL };
     let report = run_dsl_bench(&config, Runtime::from_env().workers);
-    BenchRun::finish(
-        "dsl",
-        smoke,
-        &report,
-        render_report(&report),
-        gates(&report),
-    )
+    BenchRun::finish("dsl", smoke, &report, render_report, gates(&report))
 }
 
 /// Runs the comparison on `config` with `workers` threads for the

@@ -169,8 +169,7 @@ fn gates(r: &ExperimentsBenchReport) -> Vec<Gate> {
 pub fn repro(smoke: bool) -> BenchRun {
     let config = if smoke { SMOKE } else { FULL };
     let report = run_experiments_bench(&config, Runtime::from_env().workers);
-    let summary = render_report(&report);
-    BenchRun::finish("experiments", smoke, &report, summary, gates(&report))
+    BenchRun::finish("experiments", smoke, &report, render_report, gates(&report))
 }
 
 /// Runs the comparison on `config` with `workers` threads for the

@@ -191,13 +191,7 @@ pub fn repro(smoke: bool) -> BenchRun {
     } else {
         run_fol_bench(&[200, 400, 800], 30_000)
     };
-    BenchRun::finish(
-        "fol",
-        smoke,
-        &report,
-        render_report(&report),
-        gates(&report),
-    )
+    BenchRun::finish("fol", smoke, &report, render_report, gates(&report))
 }
 
 /// Runs the engine comparison: seed-vs-interned sweeps at each of
@@ -342,6 +336,8 @@ mod tests {
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"answers_agree\": true"));
         assert!(json.contains("\"chain_proved\": true"));
+        // The report-level speedup precedes the per-point entries.
+        assert!(json.find("\"speedup\"").unwrap() < json.find("\"sweep\"").unwrap());
         assert!(render_report(&report).contains("answers agree: true"));
     }
 

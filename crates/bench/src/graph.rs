@@ -232,13 +232,7 @@ fn gates(r: &GraphBenchReport) -> Vec<Gate> {
 /// (smoke: 2k).
 pub fn repro(smoke: bool) -> BenchRun {
     let report = run_graph_bench(if smoke { 2_000 } else { 10_000 });
-    BenchRun::finish(
-        "graph",
-        smoke,
-        &report,
-        render_report(&report),
-        gates(&report),
-    )
+    BenchRun::finish("graph", smoke, &report, render_report, gates(&report))
 }
 
 /// Runs the comparison on a synthetic argument of `target_nodes` nodes.

@@ -234,8 +234,7 @@ pub(crate) struct Gate {
     pub(crate) reading: String,
     /// Whether the value meets its bound.
     pub(crate) passed: bool,
-    /// Speed floors gate smoke runs only; agreement flags and
-    /// completion counts gate every run.
+    /// Floors gate smoke runs only; agreement flags gate every run.
     pub(crate) smoke_only: bool,
 }
 
@@ -247,16 +246,15 @@ impl Gate {
         Gate::new(key, reading, trues == flags.len(), false)
     }
 
-    /// A completion count that must equal its configured value.
-    pub(crate) fn equals(key: &'static str, value: usize, expected: usize) -> Self {
-        let reading = format!("{value} (configured {expected})");
-        Gate::new(key, reading, value == expected, false)
-    }
-
-    /// A speed floor: `value >= floor`.
+    /// A floor: `value >= floor`.
     pub(crate) fn floor(key: &'static str, value: f64, floor: f64) -> Self {
         let reading = format!("{value} (floor {floor})");
         Gate::new(key, reading, value >= floor, true)
+    }
+
+    /// Whether the gate applies to a smoke (or a full) run.
+    pub(crate) fn applies(&self, smoke: bool) -> bool {
+        smoke || !self.smoke_only
     }
 
     fn new(key: &'static str, reading: String, passed: bool, smoke_only: bool) -> Self {
@@ -278,19 +276,18 @@ pub struct BenchRun {
     pub(crate) path: String,
     /// The human-readable summary.
     pub summary: String,
-    /// Agreement and completion gates always; speed floors on smoke
-    /// runs only.
+    /// Agreement flags always; floors on smoke runs only.
     pub(crate) gates: Vec<Gate>,
 }
 
 impl BenchRun {
-    /// Writes `report` as artifact `name` and keeps the gates that
-    /// apply to this run.
+    /// Writes `report` as artifact `name`, renders its summary and
+    /// keeps the gates that apply to this run.
     pub(crate) fn finish<R: serde::Serialize>(
         name: &str,
         smoke: bool,
         report: &R,
-        summary: String,
+        render: impl FnOnce(&R) -> String,
         mut gates: Vec<Gate>,
     ) -> Self {
         let path = format!("BENCH_{name}{}.json", if smoke { ".smoke" } else { "" });
@@ -299,10 +296,10 @@ impl BenchRun {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => eprintln!("warning: could not write {path}: {e}"),
         }
-        gates.retain(|g| smoke || !g.smoke_only);
+        gates.retain(|g| g.applies(smoke));
         BenchRun {
             path,
-            summary,
+            summary: render(report),
             gates,
         }
     }
@@ -363,24 +360,31 @@ mod tests {
     }
 
     #[test]
-    fn floors_gate_smoke_runs_only_and_lines_name_value_and_bound() {
+    fn floors_gate_smoke_runs_only_and_flags_gate_every_run() {
+        let floor = Gate::floor("speedup", 9.63, 10.0);
+        let flag = Gate::flags("answers_agree", &[true, false]);
+        assert!(floor.applies(true));
+        assert!(!floor.applies(false));
+        assert!(flag.applies(true));
+        assert!(flag.applies(false));
+    }
+
+    #[test]
+    fn gate_lines_name_value_and_bound() {
         let run = BenchRun {
             path: "BENCH_x.smoke.json".into(),
             summary: String::new(),
             gates: vec![
                 Gate::floor("speedup", 9.63, 10.0),
                 Gate::flags("answers_agree", &[true, true]),
-                Gate::equals("scc_largest_n", 2_000, 20_000),
             ],
         };
-        let smoke_only: Vec<bool> = run.gates.iter().map(|g| g.smoke_only).collect();
-        assert_eq!(smoke_only, [true, false, false]);
+        assert_eq!(run.failures(), 1);
         assert_eq!(
             run.gate_lines(),
             concat!(
                 "  FAIL  BENCH_x.smoke.json speedup = 9.63 (floor 10)\n",
                 "  ok    BENCH_x.smoke.json answers_agree = 2 of 2 true\n",
-                "  FAIL  BENCH_x.smoke.json scc_largest_n = 2000 (configured 20000)\n",
             )
         );
     }

@@ -235,13 +235,7 @@ fn gates(r: &LintBenchReport) -> Vec<Gate> {
 pub fn repro(smoke: bool) -> BenchRun {
     let config = if smoke { SMOKE } else { FULL };
     let report = run_lint_bench(&config, Runtime::from_env().workers);
-    BenchRun::finish(
-        "lint",
-        smoke,
-        &report,
-        render_report(&report),
-        gates(&report),
-    )
+    BenchRun::finish("lint", smoke, &report, render_report, gates(&report))
 }
 
 /// Runs the comparison on `config` with `workers` threads for the

@@ -443,13 +443,7 @@ pub fn repro(smoke: bool) -> BenchRun {
     } else {
         run_logic_bench(120, &hard_population_full())
     };
-    BenchRun::finish(
-        "logic",
-        smoke,
-        &report,
-        render_report(&report),
-        gates(&report),
-    )
+    BenchRun::finish("logic", smoke, &report, render_report, gates(&report))
 }
 
 /// Runs the comparison over a seeded population of `count` arguments

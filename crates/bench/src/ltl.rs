@@ -171,13 +171,7 @@ pub fn repro(smoke: bool) -> BenchRun {
     } else {
         run_ltl_bench(&[(10, 30, 10), (12, 36, 11)], (14, 42, 12))
     };
-    BenchRun::finish(
-        "ltl",
-        smoke,
-        &report,
-        render_report(&report),
-        gates(&report),
-    )
+    BenchRun::finish("ltl", smoke, &report, render_report, gates(&report))
 }
 
 /// Runs the checker comparison: naive-vs-CSR sweeps at each
@@ -301,6 +295,8 @@ mod tests {
         let json = crate::report_json(&report);
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"answers_agree\": true"));
+        // The report-level speedup precedes the per-point entries.
+        assert!(json.find("\"speedup\"").unwrap() < json.find("\"sweep\"").unwrap());
         assert!(render_report(&report).contains("answers agree: true"));
     }
 

@@ -290,13 +290,7 @@ fn gates(r: &ServiceBenchReport) -> Vec<Gate> {
 pub fn repro(smoke: bool) -> BenchRun {
     let config = if smoke { SMOKE } else { FULL };
     let report = run_service_bench(&config, Runtime::from_env().workers);
-    BenchRun::finish(
-        "service",
-        smoke,
-        &report,
-        render_report(&report),
-        gates(&report),
-    )
+    BenchRun::finish("service", smoke, &report, render_report, gates(&report))
 }
 
 /// Runs the comparison on `config` with `workers` threads for the
